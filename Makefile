@@ -11,7 +11,6 @@
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
 #   make serve-chaos   SIGKILL/restart durability smoke (--state-dir)
-#   make tune-smoke    cost-model fit + auto-tuned pipeline smoke
 #   make coverage      pytest-cov gate (falls back to the stdlib tool)
 #   make ci            everything the PR gate runs
 #
@@ -21,7 +20,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint format-check fault-smoke chaos-smoke bench-smoke \
-	scale-smoke cache-smoke serve-smoke serve-chaos tune-smoke \
+	scale-smoke cache-smoke serve-smoke serve-chaos \
 	coverage ci clean
 
 test:
@@ -58,9 +57,6 @@ serve-smoke:
 serve-chaos:
 	$(PYTHON) tools/serve_smoke.py --chaos --deadline 90
 
-tune-smoke:
-	$(PYTHON) tools/tune_smoke.py
-
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(PYTHON) -m pytest -q --cov=repro --cov-report=term; \
@@ -70,7 +66,7 @@ coverage:
 	fi
 
 ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
-	serve-smoke serve-chaos tune-smoke
+	serve-smoke serve-chaos
 
 clean:
 	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \

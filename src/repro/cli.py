@@ -13,13 +13,10 @@ Subcommands mirror the library's workflow on plain-text edge lists::
     python -m repro cache       list | stats | clear
     python -m repro sweep       graph.txt -k 10 20 30 --journal run.jsonl
     python -m repro resume      run.jsonl
-    python -m repro tune        fit | explain graph.txt | show
 
-Autotuning (see ``docs/tuning.md``): ``tune fit`` refits the execution
-cost model from recorded bench/run data into ``tuning/model.json``;
-``pipeline --tuning auto`` lets the planner pick backend, block size,
-worker count and cache sizing from it; ``tune explain`` prints the
-predicted-vs-chosen plan for a graph without running anything.
+``pipeline --tuning auto`` runs stage 1 through the memory-bounded
+``apply_pruned`` kernel with block size and worker count derived from
+the graph's size (``docs/performance.md``).
 
 ``pipeline --cache-dir DIR`` reuses symmetrization artifacts through
 the disk-backed content-addressed cache (``docs/architecture.md``);
@@ -214,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto",),
         default=None,
         help=(
-            "auto-select backend/block size/n_jobs/cache sizing from "
-            "the fitted cost model (see 'repro tune', docs/tuning.md)"
+            "run stage 1 through the memory-bounded apply_pruned "
+            "kernel, block size and n_jobs derived from graph size"
         ),
     )
 
@@ -657,64 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-s", "--seed", type=int, default=0)
 
-    p = sub.add_parser(
-        "tune",
-        help=(
-            "fit/inspect the execution cost model behind "
-            "'pipeline --tuning auto' (see docs/tuning.md)"
-        ),
-    )
-    tune_sub = p.add_subparsers(dest="tune_command", required=True)
-    q = tune_sub.add_parser(
-        "fit",
-        help="(re)fit the cost model from recorded bench/run data",
-    )
-    q.add_argument(
-        "--allpairs",
-        default="BENCH_allpairs.json",
-        help="all-pairs bench results (from 'repro bench')",
-    )
-    q.add_argument(
-        "--scale",
-        default="BENCH_scale.json",
-        help="scale bench results (from 'repro bench --scale')",
-    )
-    q.add_argument(
-        "--runlog",
-        action="append",
-        default=None,
-        help="RunManifest JSONL run log (repeatable)",
-    )
-    q.add_argument(
-        "-o",
-        "--model",
-        default=None,
-        help=(
-            "where to persist the fitted model (default "
-            "tuning/model.json, or $REPRO_TUNE_MODEL)"
-        ),
-    )
-    q = tune_sub.add_parser(
-        "explain",
-        help="print the predicted-vs-chosen plan for a graph",
-    )
-    q.add_argument("graph", help="directed edge-list file")
-    q.add_argument("-t", "--threshold", type=float, default=0.0)
-    q.add_argument(
-        "--model",
-        default=None,
-        help="model file to load (default tuning/model.json)",
-    )
-    q = tune_sub.add_parser(
-        "show",
-        help="print the persisted model's targets and fit stats",
-    )
-    q.add_argument(
-        "--model",
-        default=None,
-        help="model file to load (default tuning/model.json)",
-    )
-
     return parser
 
 
@@ -811,12 +750,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             f"{result.cache['misses']} misses -> {args.cache_dir}"
         )
     if result.tuning is not None and result.tuning.get("enabled"):
-        chosen = result.tuning.get("chosen", {})
+        chosen = result.tuning["chosen"]
         print(
-            f"tuning ({result.tuning.get('source')}): backend "
-            f"{chosen.get('backend')}, block {chosen.get('block_size')}"
-            f", n_jobs {chosen.get('n_jobs')}, storage "
-            f"{chosen.get('storage')}"
+            f"tuning: block {chosen['block_size']}, "
+            f"n_jobs {chosen['n_jobs']}"
         )
     if result.average_f is not None:
         print(f"Avg-F vs ground truth: {result.average_f:.2f}")
@@ -1434,122 +1371,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tune import (
-        Planner,
-        default_model_path,
-        default_plan,
-        evaluate_plan_quality,
-        fit_cost_model,
-        load_corpus,
-        load_model,
-        save_model,
-    )
-
-    if args.tune_command == "fit":
-        samples, sources, allpairs = load_corpus(
-            allpairs_path=args.allpairs,
-            scale_path=args.scale,
-            runlog_paths=tuple(args.runlog or ()),
-        )
-        model = fit_cost_model(samples, sources)
-        if allpairs is not None:
-            model.stats["plan_quality"] = evaluate_plan_quality(
-                model, allpairs
-            )
-        path = save_model(model, args.model)
-        print(
-            f"fitted {len(model.targets)} targets from "
-            f"{len(samples)} samples ({', '.join(sources)})"
-        )
-        for name in sorted(model.targets):
-            fit = model.targets[name]
-            print(
-                f"  {name:24s} n={fit.n_samples:<4d} "
-                f"r2={fit.r2:.3f}"
-            )
-        quality = model.stats.get("plan_quality")
-        if quality and quality["n_points"]:
-            print(
-                f"plan quality: {quality['within_tolerance']}/"
-                f"{quality['n_points']} points within "
-                f"{quality['tolerance']:.0%} of best, "
-                f"{quality['worse_than_default']} worse than default "
-                f"-> {'PASS' if quality['passed'] else 'FAIL'}"
-            )
-        print(f"model -> {path}")
-        return 0
-
-    if args.tune_command == "show":
-        path = (
-            Path(args.model)
-            if args.model is not None
-            else default_model_path()
-        )
-        model = load_model(path)
-        if model is None:
-            print(f"no model at {path} (run 'repro tune fit')")
-            return 1
-        print(f"model: {path}")
-        stats = model.stats
-        print(
-            f"fitted from {stats.get('n_samples', '?')} samples: "
-            f"{', '.join(stats.get('sources', []) or ['?'])}"
-        )
-        for name in sorted(model.targets):
-            fit = model.targets[name]
-            print(
-                f"  {name:24s} n={fit.n_samples:<4d} "
-                f"r2={fit.r2:.3f}"
-            )
-        quality = stats.get("plan_quality")
-        if quality and quality.get("n_points"):
-            print(
-                f"plan quality: "
-                f"{quality['within_tolerance_fraction']:.0%} within "
-                f"{quality['tolerance']:.0%} of best, "
-                f"{quality['worse_than_default']} worse than default "
-                f"-> {'PASS' if quality['passed'] else 'FAIL'}"
-            )
-        return 0
-
-    # explain: predicted-vs-chosen plan for a concrete graph.
-    graph = read_edge_list(args.graph, directed=True)
-    planner = Planner(model_path=args.model)
-    decision = planner.decide(graph, args.threshold)
-    print(
-        f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
-        f"threshold {args.threshold:g}"
-    )
-    for key, value in decision.features.items():
-        print(f"  {key:14s} {value:g}")
-    if decision.predicted_seconds:
-        print("predicted symmetrize seconds:")
-        for backend, seconds in sorted(
-            decision.predicted_seconds.items()
-        ):
-            marker = "*" if backend == decision.backend else " "
-            print(f"  {marker} {backend:12s} {seconds:.4g}s")
-    else:
-        print(
-            "no fitted model found -> hand-set defaults "
-            "(run 'repro tune fit')"
-        )
-    if decision.predicted_peak_bytes is not None:
-        print(
-            f"predicted peak rss: "
-            f"{decision.predicted_peak_bytes / 1024**2:.1f} MiB"
-        )
-    defaults = default_plan()
-    print(f"plan (source: {decision.source}):")
-    for key, value in decision.chosen().items():
-        note = "" if value == defaults[key] else (
-            f"   (default: {defaults[key]})"
-        )
-        print(f"  {key:16s} {value}{note}")
-    return 0
-
-
 _COMMANDS = {
     "stats": _cmd_stats,
     "symmetrize": _cmd_symmetrize,
@@ -1567,7 +1388,6 @@ _COMMANDS = {
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
     "experiment": _cmd_experiment,
-    "tune": _cmd_tune,
 }
 
 

@@ -10,6 +10,7 @@ validation, tracing, warning capture and artifact caching.
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
 from repro.cluster.common import GraphClusterer, get_clusterer
@@ -83,7 +84,18 @@ class ValidateSymmetrizedStage(Stage):
 
 
 class SymmetrizeStage(Stage):
-    """Stage 1: directed graph → undirected similarity graph (§3)."""
+    """Stage 1: directed graph → undirected similarity graph (§3).
+
+    With ``pruned=True`` (what ``tuning="auto"`` builds) the stage
+    runs the §3.6 thresholded all-pairs kernel ``apply_pruned``
+    wherever it applies, with block size and shard count derived from
+    the input's size by :meth:`pruned_knobs`. That path bounds memory
+    by the row block rather than the full similarity matrix; it is
+    not faster than ``apply(threshold=)`` at Cora scale. Both paths
+    give the same edges (weights agree to ~1 ULP), so the flag stays
+    out of :meth:`config`: fingerprints and artifact keys are those
+    of the unflagged stage.
+    """
 
     name = "symmetrize"
     inputs = ("graph",)
@@ -95,11 +107,13 @@ class SymmetrizeStage(Stage):
         self,
         symmetrization: str | Symmetrization,
         threshold: float = 0.0,
+        pruned: bool = False,
     ) -> None:
         if isinstance(symmetrization, str):
             symmetrization = get_symmetrization(symmetrization)
         self.symmetrization = symmetrization
         self.threshold = float(threshold)
+        self.pruned = pruned
 
     def config(self) -> dict[str, Any]:
         return {
@@ -107,14 +121,30 @@ class SymmetrizeStage(Stage):
             "threshold": self.threshold,
         }
 
-    def _tuned_supported(self) -> bool:
-        """Whether the pruned fast path can serve a tuned run.
+    @staticmethod
+    def pruned_knobs(n_nodes: int, nnz: int) -> dict[str, Any]:
+        """``apply_pruned``'s ``block_size`` and ``n_jobs`` for an
+        input of ``n_nodes`` nodes and ``nnz`` directed edges."""
+        from repro.linalg.allpairs import DEFAULT_BLOCK_SIZE
 
-        ``apply_pruned`` is edge-for-edge identical to
-        ``apply(threshold=)`` (the PR 1 differential), but only exists
-        for numeric-discount degree-discounted symmetrizations at a
-        positive threshold — everything else keeps the default path
-        regardless of the tuning decision.
+        cores = os.cpu_count() or 1
+        return {
+            "block_size": (
+                2048 if n_nodes >= 50_000 else DEFAULT_BLOCK_SIZE
+            ),
+            "n_jobs": (
+                min(4, cores)
+                if nnz >= 2_000_000 and cores >= 2
+                else None
+            ),
+        }
+
+    def _tuned_supported(self) -> bool:
+        """Whether ``apply_pruned`` can serve this stage.
+
+        It only exists for numeric-discount degree-discounted
+        symmetrizations at a positive threshold; everything else
+        keeps ``apply`` even when the stage is flagged ``pruned``.
         """
         sym = self.symmetrization
         return (
@@ -129,20 +159,20 @@ class SymmetrizeStage(Stage):
     def run(
         self, ctx: StageContext, values: dict[str, Any]
     ) -> dict[str, Any]:
-        decision = ctx.scratch.get("tuning")
-        if decision is not None and self._tuned_supported():
+        graph = values["graph"]
+        if self.pruned and self._tuned_supported():
             return {
                 "symmetrized": self.symmetrization.apply_pruned(
-                    values["graph"],
+                    graph,
                     self.threshold,
-                    backend=decision.backend,
-                    block_size=decision.block_size,
-                    n_jobs=decision.n_jobs,
+                    **self.pruned_knobs(
+                        graph.n_nodes, graph.adjacency.nnz
+                    ),
                 )
             }
         return {
             "symmetrized": self.symmetrization.apply(
-                values["graph"], threshold=self.threshold
+                graph, threshold=self.threshold
             )
         }
 

@@ -2,7 +2,7 @@
 
 - :mod:`~repro.linalg.allpairs` — threshold-aware all-pairs similarity
   (§3.6): the blocked vectorized engine and the pure-Python reference
-  oracle behind the degree-discounted fast path.
+  oracle behind the degree-discounted pruned path.
 - :mod:`~repro.linalg.mmcsr` — out-of-core CSR storage: chunk-built,
   memory-mapped matrices that the sharded kernels and streaming graph
   readers use to reach paper-scale graphs without RAM-resident edges.
@@ -14,7 +14,7 @@
 """
 
 from repro.linalg.allpairs import thresholded_gram_matrix
-from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder, choose_storage
+from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder
 from repro.linalg.pagerank import (
     pagerank,
     stationary_distribution,
@@ -31,7 +31,6 @@ __all__ = [
     "thresholded_gram_matrix",
     "MmapCSR",
     "MmapCSRBuilder",
-    "choose_storage",
     "pagerank",
     "stationary_distribution",
     "transition_matrix",

@@ -49,45 +49,11 @@ __all__ = [
     "MmapCSR",
     "MmapCSRBuilder",
     "DEFAULT_CHUNK_EDGES",
-    "DEFAULT_IN_CORE_BUDGET_BYTES",
-    "choose_storage",
 ]
 
 #: Default edge-chunk size for streaming builds: ~1.5M edges keeps the
 #: resident triple buffers near 36 MB while amortizing spill overhead.
 DEFAULT_CHUNK_EDGES = 1 << 20
-
-#: Resident-memory budget :func:`choose_storage` plans against — the
-#: same 2 GiB high-water mark the scale bench's regression floor
-#: enforces (:data:`repro.perf.scale_bench.MAX_PEAK_RSS_BYTES`).
-DEFAULT_IN_CORE_BUDGET_BYTES = 2 * 1024**3
-
-#: Working-set multiplier over the raw CSR bytes: the in-core
-#: degree-discounted product holds the scaled matrix, its transpose
-#: and the gram output block simultaneously, plus scipy scratch.
-_IN_CORE_WORKING_FACTOR = 6
-
-
-def choose_storage(
-    n_nodes: int,
-    nnz: int,
-    budget_bytes: int | None = None,
-) -> str:
-    """``"in_core"`` or ``"mmcsr"`` for a graph of this shape.
-
-    Estimates the resident working set of the in-core symmetrize
-    path (CSR arrays times :data:`_IN_CORE_WORKING_FACTOR`) and
-    recommends the out-of-core store when it would blow the budget.
-    This is the storage half of the autotuning planner
-    (:mod:`repro.tune.planner`); it lives here so the estimate sits
-    next to the store whose economics it encodes.
-    """
-    if budget_bytes is None:
-        budget_bytes = DEFAULT_IN_CORE_BUDGET_BYTES
-    index_bytes = _index_dtype(max(n_nodes, 1), max(nnz, 1)).itemsize
-    csr_bytes = nnz * (8 + index_bytes) + (n_nodes + 1) * index_bytes
-    working = csr_bytes * _IN_CORE_WORKING_FACTOR
-    return "mmcsr" if working > budget_bytes else "in_core"
 
 _META_NAME = "meta.json"
 _FORMAT = "mmcsr/v1"

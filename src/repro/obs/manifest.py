@@ -48,14 +48,14 @@ __all__ = [
 #: changes to the JSON shape (tests/data/manifest_golden.json pins it).
 #: v2 added the ``cache`` section (artifact-cache provenance); v3 the
 #: ``fault_tolerance`` section (journal / retry / resume provenance);
-#: v4 the ``tuning`` section (autotuning chosen-vs-default plan
-#: provenance, see :mod:`repro.tune`).
+#: v4 the ``tuning`` section (the ``apply_pruned`` knobs of a
+#: ``tuning="auto"`` run).
 MANIFEST_SCHEMA = "repro-run-manifest/v4"
 
 #: Schemas :meth:`RunManifest.from_dict` can still read. v1 manifests
 #: (pre-artifact-cache) load with an empty ``cache`` section; v1/v2
 #: (pre-fault-tolerance) with an empty ``fault_tolerance`` section;
-#: v1–v3 (pre-autotuning) with an empty ``tuning`` section.
+#: v1–v3 (pre-tuning) with an empty ``tuning`` section.
 SUPPORTED_SCHEMAS = (
     "repro-run-manifest/v1",
     "repro-run-manifest/v2",
@@ -159,12 +159,12 @@ class RunManifest:
         prior journal); empty for unjournaled runs and for v1/v2
         manifests, which predate the runtime.
     tuning:
-        Autotuning provenance (``enabled``, decision ``source``,
-        ``chosen`` vs ``default`` plan knobs, predicted stage
-        seconds, the graph features the planner saw) when the run
-        executed with ``tuning="auto"``; ``{"enabled": False}`` for
-        untuned pipeline runs and empty for v1–v3 manifests, which
-        predate the autotuner (:mod:`repro.tune`).
+        ``{"enabled": True, "chosen": {"block_size", "n_jobs"}}``
+        when the run executed with ``tuning="auto"``;
+        ``{"enabled": False}`` for untuned pipeline runs and empty
+        for v1–v3 manifests. Older v4 records carry a richer section
+        (decision ``source``, ``default`` knobs, predictions,
+        features); it is loaded and round-tripped as-is.
     timings:
         Headline stage durations in seconds.
     job:

@@ -96,6 +96,20 @@ __all__ = [
 PIPELINE_MODES = EXECUTION_MODES
 
 
+def auto_tuned(tuning: str | None) -> bool:
+    """Whether ``tuning`` selects the pruned stage-1 kernel.
+
+    Raises :class:`~repro.exceptions.PipelineError` for anything but
+    ``None`` and ``"auto"``.
+    """
+    if tuning is not None and tuning != "auto":
+        raise PipelineError(
+            f"unknown tuning setting {tuning!r}; expected None or "
+            "'auto'"
+        )
+    return tuning == "auto"
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Everything one pipeline run produced.
@@ -147,11 +161,11 @@ class PipelineResult:
         and the ``stage_retries`` / ``stages_resumed`` totals from
         :meth:`~repro.engine.ExecutionResult.fault_summary`.
     tuning:
-        Autotuning provenance: ``{"enabled": False}`` for untuned
-        runs; for ``tuning="auto"`` runs the serialized
-        :class:`~repro.tune.planner.PlanDecision` — decision source,
-        chosen vs. default plan knobs, predicted stage seconds and
-        the graph features the planner conditioned on.
+        ``{"enabled": False}`` for untuned runs; for
+        ``tuning="auto"`` runs ``{"enabled": True, "chosen":
+        {"block_size": b, "n_jobs": j}}``, the ``apply_pruned`` knobs
+        :meth:`~repro.engine.stages.SymmetrizeStage.pruned_knobs`
+        derives from the input's size.
     """
 
     clustering: Clustering
@@ -211,14 +225,14 @@ class SymmetrizeClusterPipeline:
         applies; otherwise caching is off and behavior is identical
         to the pre-engine pipeline.
     tuning:
-        ``None`` (default) keeps the hand-set configuration.
-        ``"auto"`` lets the fitted cost model (:mod:`repro.tune`,
-        ``tuning/model.json``) choose the all-pairs backend, block
-        size, ``n_jobs``, storage and cache sizing per run; the
-        decision is recorded on :attr:`PipelineResult.tuning` and in
-        the manifest's v4 ``tuning`` section. A
-        :class:`~repro.tune.Planner` / :class:`~repro.tune.
-        PlanDecision` pins the behavior explicitly.
+        ``None`` (default) runs stage 1 through ``apply``.
+        ``"auto"`` routes it through the memory-bounded
+        ``apply_pruned`` kernel wherever that applies (numeric-discount
+        degree-discounted symmetrization at a positive threshold),
+        with block size and ``n_jobs`` derived from the input's size;
+        the knobs are recorded on :attr:`PipelineResult.tuning` and in
+        the manifest's ``tuning`` section. Labels and edges are the
+        same either way.
 
     Examples
     --------
@@ -238,7 +252,7 @@ class SymmetrizeClusterPipeline:
         threshold: float = 0.0,
         mode: str = "strict",
         cache: ArtifactCache | None = None,
-        tuning: Any = None,
+        tuning: str | None = None,
     ) -> None:
         if isinstance(symmetrization, str):
             symmetrization = get_symmetrization(symmetrization)
@@ -257,11 +271,7 @@ class SymmetrizeClusterPipeline:
                 f"unknown pipeline mode {mode!r}; "
                 f"expected one of {PIPELINE_MODES}"
             )
-        if isinstance(tuning, str) and tuning != "auto":
-            raise PipelineError(
-                f"unknown tuning setting {tuning!r}; expected None, "
-                "'auto', a Planner or a PlanDecision"
-            )
+        auto_tuned(tuning)
         self.symmetrization = symmetrization
         self.clusterer = clusterer
         self.threshold = float(threshold)
@@ -292,7 +302,9 @@ class SymmetrizeClusterPipeline:
         else:
             stages.append(
                 SymmetrizeStage(
-                    self.symmetrization, threshold=self.threshold
+                    self.symmetrization,
+                    threshold=self.threshold,
+                    pruned=auto_tuned(self.tuning),
                 )
             )
         stages.append(ClusterStage(self.clusterer, n_clusters))
@@ -394,7 +406,6 @@ class SymmetrizeClusterPipeline:
             retry=retry,
             journal=journal,
             resume_from=resume,
-            tuning=self.tuning,
         )
         with contextlib.ExitStack() as stack:
             if own_tracer is not None:
@@ -416,14 +427,17 @@ class SymmetrizeClusterPipeline:
             execution = executor.execute(plan, values)
         t_sym = execution.seconds("symmetrize")
         t_cluster = execution.seconds("cluster")
-        tuning_section = (
-            execution.tuning
-            if execution.tuning is not None
-            else {"enabled": False}
-        )
+        tuning_section: dict[str, Any] = {"enabled": False}
+        if auto_tuned(self.tuning):
+            validated = execution.values["graph"]
+            tuning_section = {
+                "enabled": True,
+                "chosen": SymmetrizeStage.pruned_knobs(
+                    validated.n_nodes, validated.adjacency.nnz
+                ),
+            }
         cache_section = {
-            "enabled": cache_enabled
-            or bool(tuning_section.get("cache_installed")),
+            "enabled": cache_enabled,
             **execution.cache_summary(),
         }
         active_journal = executor.journal

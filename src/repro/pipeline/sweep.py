@@ -20,6 +20,11 @@ Each :class:`SweepPoint` records its cache provenance: whether any
 stage was served from the cache and the content address of the
 symmetrized artifact the clusterer consumed.
 
+``tuning="auto"`` routes every point's stage 1 through
+``apply_pruned``, as on
+:class:`~repro.pipeline.SymmetrizeClusterPipeline`; cache keys and
+point keys do not change.
+
 Fault tolerance
 ---------------
 Sweeps are the long-running surface of this codebase, so they carry
@@ -83,6 +88,7 @@ from repro.exceptions import ExecutionWarning, ReproError
 from repro.graph.digraph import DirectedGraph
 from repro.obs.manifest import fingerprint_graph
 from repro.obs.metrics import metric_inc
+from repro.pipeline.pipeline import auto_tuned
 from repro.symmetrize.base import Symmetrization, get_symmetrization
 from repro.symmetrize.degree_discounted import (
     DegreeDiscountedSymmetrization,
@@ -193,7 +199,6 @@ def _run_point(
     plan_budget: Budget | None,
     journal: RunJournal | None,
     resume: JournalReplay | None,
-    tuning: Any = None,
 ) -> ExecutionResult:
     """Execute one grid point's plan against the sweep cache."""
     values: dict[str, object] = {"graph": graph}
@@ -207,7 +212,6 @@ def _run_point(
         retry=retry,
         journal=journal,
         resume_from=resume,
-        tuning=tuning,
     )
     return executor.execute(plan, values, dataset_sha=dataset_sha)
 
@@ -306,7 +310,6 @@ def _sweep(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     """Shared sweep driver: one engine plan per grid point.
 
@@ -336,7 +339,7 @@ def _sweep(
         points = _sweep_points(
             graph, parameters, make_stages, ground_truth, active,
             name, mode, retry, budgets, plan_budget, journal, resume,
-            dataset_sha, tuning,
+            dataset_sha,
         )
     return points
 
@@ -355,7 +358,6 @@ def _sweep_points(
     journal: RunJournal | None,
     resume: JournalReplay | None,
     dataset_sha: str,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     points = []
     for parameter in parameters:
@@ -387,7 +389,6 @@ def _sweep_points(
             execution = _run_point(
                 plan, graph, ground_truth, active, dataset_sha,
                 mode, retry, budgets, plan_budget, journal, resume,
-                tuning,
             )
         except ReproError as exc:
             if mode != "lenient":
@@ -432,7 +433,7 @@ def sweep_n_clusters(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
+    tuning: str | None = None,
 ) -> list[SweepPoint]:
     """Avg-F / time vs requested cluster count (Figures 5, 7, 8, 9).
 
@@ -440,6 +441,7 @@ def sweep_n_clusters(
     the artifact cache (first point computes, later points hit).
     ``n_jobs`` installs one shared worker pool for the whole grid.
     """
+    pruned = auto_tuned(tuning)
     if isinstance(symmetrization, str):
         symmetrization = get_symmetrization(symmetrization)
     if isinstance(clusterer, str):
@@ -448,7 +450,9 @@ def sweep_n_clusters(
     def make_stages(k: object) -> list[Stage]:
         return [
             ValidateInputStage(),
-            SymmetrizeStage(symmetrization, threshold=threshold),
+            SymmetrizeStage(
+                symmetrization, threshold=threshold, pruned=pruned
+            ),
             ClusterStage(clusterer, int(k)),  # type: ignore[arg-type]
         ]
 
@@ -466,7 +470,6 @@ def sweep_n_clusters(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )
 
 
@@ -485,7 +488,7 @@ def sweep_threshold(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
+    tuning: str | None = None,
 ) -> list[SweepPoint]:
     """The Table-3 study: prune threshold vs edges / Avg-F / time.
 
@@ -494,6 +497,7 @@ def sweep_threshold(
     in §5.3.1) — the shared unpruned artifact is cache-served after the
     first point.
     """
+    pruned = auto_tuned(tuning)
     if isinstance(symmetrization, str):
         symmetrization = get_symmetrization(symmetrization)
     if isinstance(clusterer, str):
@@ -502,7 +506,7 @@ def sweep_threshold(
     def make_stages(threshold: object) -> list[Stage]:
         return [
             ValidateInputStage(),
-            SymmetrizeStage(symmetrization, threshold=0.0),
+            SymmetrizeStage(symmetrization, threshold=0.0, pruned=pruned),
             PruneStage(float(threshold)),  # type: ignore[arg-type]
             ClusterStage(clusterer, n_clusters),
         ]
@@ -521,7 +525,6 @@ def sweep_threshold(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )
 
 
@@ -541,7 +544,7 @@ def sweep_alpha_beta(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
+    tuning: str | None = None,
 ) -> list[SweepPoint]:
     """The Table-4 study: Avg-F per (α, β) configuration.
 
@@ -559,6 +562,7 @@ def sweep_alpha_beta(
     shared — but a disk-backed or ambient cache serves repeated grids
     (re-runs, figure regeneration) entirely from the cache.
     """
+    pruned = auto_tuned(tuning)
     if isinstance(clusterer, str):
         clusterer = get_clusterer(clusterer)
 
@@ -567,10 +571,14 @@ def sweep_alpha_beta(
         sym = DegreeDiscountedSymmetrization(alpha=alpha, beta=beta)
         stages: list[Stage] = [ValidateInputStage()]
         if target_degree is not None:
-            stages.append(SymmetrizeStage(sym, threshold=0.0))
+            stages.append(
+                SymmetrizeStage(sym, threshold=0.0, pruned=pruned)
+            )
             stages.append(PruneToDegreeStage(target_degree))
         else:
-            stages.append(SymmetrizeStage(sym, threshold=threshold))
+            stages.append(
+                SymmetrizeStage(sym, threshold=threshold, pruned=pruned)
+            )
         stages.append(ClusterStage(clusterer, n_clusters))
         return stages
 
@@ -588,5 +596,4 @@ def sweep_alpha_beta(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )

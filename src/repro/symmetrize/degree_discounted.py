@@ -129,7 +129,7 @@ class DegreeDiscountedSymmetrization(Symmetrization):
     def pruning_factors(
         self, graph: DirectedGraph
     ) -> list[sp.csr_array]:
-        """The square-root factors of the §3.6 fast path.
+        """The square-root factors of the §3.6 pruned path.
 
         Returns ``Y`` with ``B_d = Y Yᵀ`` (when coupling is included)
         and ``Z`` with ``C_d = Z Zᵀ`` (when co-citation is included),

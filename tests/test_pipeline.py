@@ -1,9 +1,17 @@
 """Unit tests for :mod:`repro.pipeline` (pipeline, sweeps, report)."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.cluster import MetisClusterer
-from repro.exceptions import ClusteringError
+from repro.engine.stages import SymmetrizeStage
+from repro.exceptions import ClusteringError, PipelineError
+from repro.graph.generators import power_law_digraph
+from repro.linalg.allpairs import DEFAULT_BLOCK_SIZE
+from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.trace import tracing
 from repro.pipeline import (
     SymmetrizeClusterPipeline,
     format_series,
@@ -63,6 +71,71 @@ class TestPipeline:
             SymmetrizeClusterPipeline(42, "metis")
         with pytest.raises(ClusteringError):
             SymmetrizeClusterPipeline("naive", 42)
+
+    def test_unknown_tuning_string_rejected(self):
+        with pytest.raises(PipelineError):
+            SymmetrizeClusterPipeline(
+                "degree_discounted", "mlrmcl", tuning="aggressive"
+            )
+
+    def test_tuning_auto_matches_untuned(self):
+        graph = power_law_digraph(400, np.random.default_rng(3))
+        untuned = SymmetrizeClusterPipeline(
+            "degree_discounted", "mlrmcl", threshold=0.25
+        ).run(graph, n_clusters=8)
+        with tracing() as tracer:
+            tuned = SymmetrizeClusterPipeline(
+                "degree_discounted",
+                "mlrmcl",
+                threshold=0.25,
+                tuning="auto",
+            ).run(graph, n_clusters=8)
+        # auto ran the pruned kernel, yet labels are unchanged.
+        assert tracer.find("symmetrize:degree_discounted_pruned")
+        np.testing.assert_array_equal(
+            untuned.clustering.labels, tuned.clustering.labels
+        )
+
+    def test_manifest_v4_tuning_section(self, tmp_path):
+        graph = power_law_digraph(400, np.random.default_rng(3))
+        log = tmp_path / "runs.jsonl"
+        untuned = SymmetrizeClusterPipeline(
+            "degree_discounted", "mlrmcl", threshold=0.25
+        ).run(graph, n_clusters=8)
+        tuned = SymmetrizeClusterPipeline(
+            "degree_discounted", "mlrmcl", threshold=0.25, tuning="auto"
+        ).run(graph, n_clusters=8, manifest_path=log)
+        assert untuned.tuning == {"enabled": False}
+        assert tuned.tuning == {
+            "enabled": True,
+            "chosen": {"block_size": DEFAULT_BLOCK_SIZE, "n_jobs": None},
+        }
+        payload = json.loads(log.read_text().splitlines()[0])
+        assert payload["schema"] == MANIFEST_SCHEMA
+        assert payload["tuning"] == tuned.tuning
+
+    def test_pruned_knobs_boundaries(self, monkeypatch):
+        knobs = SymmetrizeStage.pruned_knobs
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert knobs(49_999, 0)["block_size"] == DEFAULT_BLOCK_SIZE
+        assert knobs(50_000, 0)["block_size"] == 2048
+        assert knobs(10, 1_999_999)["n_jobs"] is None
+        assert knobs(10, 2_000_000)["n_jobs"] == 4
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert knobs(10, 2_000_000)["n_jobs"] == 2
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert knobs(10, 2_000_000)["n_jobs"] is None
+
+    def test_pruned_flag_keeps_fingerprint(self):
+        plain = SymmetrizeStage("degree_discounted", threshold=0.05)
+        pruned = SymmetrizeStage(
+            "degree_discounted", threshold=0.05, pruned=True
+        )
+        # Pinned so artifact keys and service job ids written by
+        # earlier versions still resolve.
+        assert plain.fingerprint() == pruned.fingerprint() == (
+            "55452163967d4178b9a2e08a706bfbeffffa1ae48280dab80e8b3e1eb4a7fed6"
+        )
 
     def test_repr(self):
         pipe = SymmetrizeClusterPipeline("naive", "metis", threshold=0.5)

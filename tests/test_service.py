@@ -343,6 +343,27 @@ class TestJobManager:
         assert deduped and job2 is job1
         manager.close()
 
+    def test_job_ids_stable_across_versions(
+        self, tmp_path, small_graph
+    ) -> None:
+        # Literal ids from an earlier release: a --state-dir written
+        # then must still map every spec to the same job.
+        manager = JobManager(tmp_path, max_workers=1)
+        manager.register_graph("g", small_graph)
+        base = {
+            "kind": "cluster",
+            "graph": "g",
+            "n_clusters": 4,
+            "threshold": 0.05,
+        }
+        for extra, key in (
+            ({}, "c8c651c925e10d33017e4ff4e0d0c88e"),
+            ({"tuning": "auto"}, "cad745a5cfa69facdd745003b2fa454f"),
+        ):
+            spec = JobSpec.from_dict({**base, **extra})
+            assert manager.job_key(spec) == key
+        manager.close()
+
     def test_distinct_specs_are_distinct_jobs(
         self, tmp_path, small_graph
     ) -> None:
