@@ -11,6 +11,7 @@
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
 #   make serve-chaos   SIGKILL/restart durability smoke (--state-dir)
+#   make perfbench-smoke  end-to-end benchmark's own tests (tiny inputs)
 #   make coverage      pytest-cov gate (falls back to the stdlib tool)
 #   make ci            everything the PR gate runs
 #
@@ -20,7 +21,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint format-check fault-smoke chaos-smoke bench-smoke \
-	scale-smoke cache-smoke serve-smoke serve-chaos \
+	scale-smoke cache-smoke serve-smoke serve-chaos perfbench-smoke \
 	coverage ci clean
 
 test:
@@ -57,6 +58,9 @@ serve-smoke:
 serve-chaos:
 	$(PYTHON) tools/serve_smoke.py --chaos --deadline 90
 
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/tests
+
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(PYTHON) -m pytest -q --cov=repro --cov-report=term; \
@@ -66,7 +70,7 @@ coverage:
 	fi
 
 ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
-	serve-smoke serve-chaos
+	serve-smoke serve-chaos perfbench-smoke
 
 clean:
 	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \

@@ -43,7 +43,6 @@ from repro.exceptions import ClusteringError
 from repro.graph.ugraph import UndirectedGraph
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
-from repro.perf.stopwatch import add_counters
 
 __all__ = ["MLRMCL"]
 
@@ -208,9 +207,6 @@ def _rmcl_iterations(
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
-    add_counters(
-        "cluster:mlrmcl", rmcl_iterations=performed, flow_nnz=flow.nnz
-    )
     metric_inc("mcl_iterations", performed)
     metric_inc("mcl_entries_pruned_total", entries_pruned)
     metric_set("mcl_final_flow_nnz", flow.nnz)

@@ -101,7 +101,6 @@ class SymmetrizeStage(Stage):
     inputs = ("graph",)
     outputs = ("symmetrized",)
     cacheable = True
-    perf_tag = "pipeline:symmetrize"
 
     def __init__(
         self,
@@ -176,14 +175,6 @@ class SymmetrizeStage(Stage):
             )
         }
 
-    def counters(
-        self, values: dict[str, Any], outputs: dict[str, Any]
-    ) -> dict[str, int]:
-        return {
-            "nnz_in": values["graph"].adjacency.nnz,
-            "nnz_out": outputs["symmetrized"].adjacency.nnz,
-        }
-
 
 class PruneStage(Stage):
     """§3.5: drop similarity edges strictly below a threshold."""
@@ -245,7 +236,6 @@ class ClusterStage(Stage):
     name = "cluster"
     inputs = ("symmetrized",)
     outputs = ("clustering",)
-    perf_tag = "pipeline:cluster"
 
     def __init__(
         self,
@@ -274,14 +264,6 @@ class ClusterStage(Stage):
             "clustering": self.clusterer.cluster(
                 values["symmetrized"], self.n_clusters
             )
-        }
-
-    def counters(
-        self, values: dict[str, Any], outputs: dict[str, Any]
-    ) -> dict[str, int]:
-        return {
-            "nnz_in": values["symmetrized"].adjacency.nnz,
-            "n_clusters": outputs["clustering"].n_clusters,
         }
 
 

@@ -82,7 +82,6 @@ from repro.obs.metrics import (
     peak_rss_bytes,
 )
 from repro.obs.trace import span
-from repro.perf.stopwatch import add_counters
 
 __all__ = ["thresholded_gram_matrix", "BACKENDS"]
 
@@ -174,8 +173,12 @@ def _exact_dot(
 
 def _python_engine(
     csr: sp.csr_array, threshold: float, include_diagonal: bool
-) -> sp.csr_array:
-    """The WWW'07 inverted-index scheme, one row at a time."""
+) -> tuple[sp.csr_array, int, int]:
+    """The WWW'07 inverted-index scheme, one row at a time.
+
+    Returns the symmetric result plus the candidate and kept pair
+    counts.
+    """
     n = csr.shape[0]
     col_max = _column_maxima(csr)
 
@@ -238,22 +241,10 @@ def _python_engine(
                 (i, float(vals_i[pos]))
             )
 
-    add_counters(
-        "allpairs:python",
-        rows=n,
-        nnz_in=csr.nnz,
-        candidate_pairs=n_candidates,
-        kept_pairs=len(out_vals),
-        pruned_pairs=n_candidates - len(out_vals),
-    )
-    metric_inc("allpairs_candidate_pairs_total", n_candidates)
-    metric_inc(
-        "allpairs_pairs_pruned_total", n_candidates - len(out_vals)
-    )
     result = sp.coo_array(
         (out_vals, (out_rows, out_cols)), shape=(n, n)
     ).tocsr()
-    return (result + result.T).tocsr()
+    return (result + result.T).tocsr(), n_candidates, len(out_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +433,8 @@ def _process_blocks(
     """Run candidate generation + verification for a run of blocks.
 
     Returns the accepted triplets and the number of candidate pairs
-    generated (for the perf counters). Safe to call concurrently: it
-    only reads ``csr``/``suffix``.
+    generated (for the span attributes and metrics). Safe to call
+    concurrently: it only reads ``csr``/``suffix``.
     """
     out = _TripletBuffer()
     n_candidates = 0
@@ -720,8 +711,12 @@ def _vectorized_engine(
     include_diagonal: bool,
     block_size: int,
     n_jobs: int | None,
-) -> sp.csr_array:
-    """Blocked array-native engine; see the module docstring."""
+) -> tuple[sp.csr_array, int, int]:
+    """Blocked array-native engine; see the module docstring.
+
+    Returns the symmetric result plus the candidate and kept pair
+    counts.
+    """
     n = csr.shape[0]
     with span("suffix_index") as sp_:
         col_max = _column_maxima(csr)
@@ -756,23 +751,10 @@ def _vectorized_engine(
         out_cols = np.concatenate((out_cols, keep))
         out_vals = np.concatenate((out_vals, self_scores[keep] / 2.0))
 
-    add_counters(
-        "allpairs:vectorized",
-        rows=n,
-        nnz_in=csr.nnz,
-        indexed_nnz=suffix.nnz,
-        candidate_pairs=n_candidates,
-        kept_pairs=len(buffer),
-        pruned_pairs=n_candidates - len(buffer),
-    )
-    metric_inc("allpairs_candidate_pairs_total", n_candidates)
-    metric_inc(
-        "allpairs_pairs_pruned_total", n_candidates - len(buffer)
-    )
     result = sp.coo_array(
         (out_vals, (out_rows, out_cols)), shape=(n, n)
     ).tocsr()
-    return (result + result.T).tocsr()
+    return (result + result.T).tocsr(), n_candidates, len(buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -826,28 +808,28 @@ def thresholded_gram_matrix(
     degrades gracefully toward a sparse matrix product.
     """
     csr = _validated_csr(rows, threshold)
-    if backend == "vectorized":
-        if block_size < 1:
-            raise SymmetrizationError("block_size must be >= 1")
-        with span("allpairs:vectorized") as sp_:
-            result = _vectorized_engine(
+    if backend not in BACKENDS:
+        raise SymmetrizationError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend == "vectorized" and block_size < 1:
+        raise SymmetrizationError("block_size must be >= 1")
+    with span(f"allpairs:{backend}") as sp_:
+        if backend == "vectorized":
+            result, n_candidates, n_kept = _vectorized_engine(
                 csr, threshold, include_diagonal, block_size, n_jobs
             )
-            sp_.set(
-                rows=csr.shape[0],
-                threshold=threshold,
-                nnz_out=result.nnz,
+        else:
+            result, n_candidates, n_kept = _python_engine(
+                csr, threshold, include_diagonal
             )
-        return result
-    if backend == "python":
-        with span("allpairs:python") as sp_:
-            result = _python_engine(csr, threshold, include_diagonal)
-            sp_.set(
-                rows=csr.shape[0],
-                threshold=threshold,
-                nnz_out=result.nnz,
-            )
-        return result
-    raise SymmetrizationError(
-        f"unknown backend {backend!r}; expected one of {BACKENDS}"
-    )
+        metric_inc("allpairs_candidate_pairs_total", n_candidates)
+        metric_inc("allpairs_pairs_pruned_total", n_candidates - n_kept)
+        sp_.set(
+            rows=csr.shape[0],
+            threshold=threshold,
+            candidate_pairs=n_candidates,
+            kept_pairs=n_kept,
+            nnz_out=result.nnz,
+        )
+    return result

@@ -3,11 +3,11 @@
 The symmetrize/prune/cluster/eval stages emit named metrics —
 ``edges_pruned_total``, ``mcl_iterations``, ``singleton_fraction``,
 ``pagerank_convergence_delta`` — through the same ambient-contextvar
-pattern as :mod:`repro.perf` timings and :mod:`repro.obs.trace` spans:
-library code calls :func:`metric_inc` / :func:`metric_set` /
-:func:`metric_observe` unconditionally, and each call is a no-op
-(one contextvar read) unless a :class:`MetricsRegistry` is installed
-with :func:`metrics_active`.
+pattern as :mod:`repro.obs.trace` spans: library code calls
+:func:`metric_inc` / :func:`metric_set` / :func:`metric_observe`
+unconditionally, and each call is a no-op (one contextvar read)
+unless a :class:`MetricsRegistry` is installed with
+:func:`metrics_active`.
 
 Metric kinds follow the usual conventions:
 

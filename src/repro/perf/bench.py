@@ -7,8 +7,9 @@ perf trajectory is visible across PRs:
 
 - **symmetrize runs** time
   :meth:`~repro.symmetrize.DegreeDiscountedSymmetrization.apply_pruned`
-  per backend and capture the engine counters (candidate pairs,
-  pruned pairs, indexed nnz) from the :mod:`repro.perf` recorder;
+  per backend and capture the engine metrics (candidate pairs,
+  pruned pairs, edges pruned) from the :mod:`repro.obs` metrics
+  registry;
 - **cluster runs** time MLR-MCL on the vectorized backend's output
   and record its convergence metrics (iteration count, final prune
   fraction) from the :mod:`repro.obs` metrics registry;
@@ -35,7 +36,6 @@ import scipy
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, metrics_active
-from repro.perf.stopwatch import PerfRecorder, recording
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -55,7 +55,9 @@ __all__ = [
 #: snapshot: MCL iteration counts, prune fractions, engine totals).
 #: v3 added the top-level ``"cache"`` block (cold-vs-warm artifact
 #: cache sweep: seconds, speedup, hit/miss counters).
-BENCH_SCHEMA = "repro-bench-allpairs/v3"
+#: v4 dropped the per-run ``"counters"`` key, which repeated
+#: ``"metrics"`` (e.g. ``allpairs_candidate_pairs_total``).
+BENCH_SCHEMA = "repro-bench-allpairs/v4"
 
 #: Full-sweep defaults: sizes bracket the regime where the pure-Python
 #: engine is still tolerable; thresholds bracket the Table-3 operating
@@ -78,7 +80,6 @@ REQUIRED_RUN_KEYS = frozenset(
         "threshold",
         "seconds",
         "edges_out",
-        "counters",
         "metrics",
     }
 )
@@ -98,19 +99,13 @@ def _bench_graph(n_nodes: int, seed: int):
 def _symmetrize_run(
     sym, graph, threshold: float, backend: str, n_jobs: int | None
 ) -> tuple[dict[str, Any], Any]:
-    recorder = PerfRecorder()
     registry = MetricsRegistry()
-    with recording(recorder), metrics_active(registry):
+    with metrics_active(registry):
         t0 = time.perf_counter()
         result = sym.apply_pruned(
             graph, threshold, backend=backend, n_jobs=n_jobs
         )
         seconds = time.perf_counter() - t0
-    counters = {
-        name: dict(stage.counters)
-        for name, stage in recorder.stages.items()
-        if stage.counters
-    }
     return {
         "kind": "symmetrize",
         "backend": backend,
@@ -119,7 +114,6 @@ def _symmetrize_run(
         "threshold": threshold,
         "seconds": seconds,
         "edges_out": result.n_edges,
-        "counters": counters,
         "metrics": registry.flat(),
     }, result
 
@@ -127,17 +121,11 @@ def _symmetrize_run(
 def _cluster_run(graph, symmetrized, threshold: float) -> dict[str, Any]:
     from repro.cluster.mlrmcl import MLRMCL
 
-    recorder = PerfRecorder()
     registry = MetricsRegistry()
-    with recording(recorder), metrics_active(registry):
+    with metrics_active(registry):
         t0 = time.perf_counter()
         clustering = MLRMCL().cluster(symmetrized)
         seconds = time.perf_counter() - t0
-    counters = {
-        name: dict(stage.counters)
-        for name, stage in recorder.stages.items()
-        if stage.counters
-    }
     return {
         "kind": "cluster",
         "backend": "mlrmcl",
@@ -146,7 +134,6 @@ def _cluster_run(graph, symmetrized, threshold: float) -> dict[str, Any]:
         "threshold": threshold,
         "seconds": seconds,
         "edges_out": int(clustering.n_clusters),
-        "counters": counters,
         "metrics": registry.flat(),
     }
 

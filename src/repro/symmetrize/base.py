@@ -19,7 +19,6 @@ from repro.graph.ugraph import UndirectedGraph
 from repro.linalg.sparse_utils import prune_matrix
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
-from repro.perf.stopwatch import Stopwatch
 from repro.validate.invariants import (
     degenerate_event,
     repair_graph,
@@ -36,6 +35,12 @@ __all__ = [
 ]
 
 _REGISTRY: dict[str, type["Symmetrization"]] = {}
+
+
+def _upper_pairs(matrix: sp.csr_array) -> int:
+    """Stored entries strictly above the diagonal of a CSR matrix."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return int(np.count_nonzero(matrix.indices > rows))
 
 
 def register_symmetrization(name: str):
@@ -144,19 +149,21 @@ class Symmetrization(abc.ABC):
                 f"expected a DirectedGraph, got {type(graph).__name__}"
             )
         graph = self._validated_input(graph)
-        with span(f"symmetrize:{self.name}") as sp_, Stopwatch(
-            f"symmetrize:{self.name}"
-        ) as sw:
+        with span(f"symmetrize:{self.name}") as sp_:
             with span("compute_matrix"):
                 matrix = self._validated_output(
                     self.compute_matrix(graph).tocsr(), graph
                 )
             nnz_raw = matrix.nnz
             if threshold > 0:
+                pairs_raw = _upper_pairs(matrix)
                 with span("prune"):
                     matrix = prune_matrix(matrix, threshold)
+                # Unordered off-diagonal pairs, the unit apply_pruned
+                # counts in; the diagonal is dropped below anyway.
                 metric_inc(
-                    "edges_pruned_total", nnz_raw - matrix.nnz
+                    "edges_pruned_total",
+                    pairs_raw - _upper_pairs(matrix),
                 )
             if drop_self_loops:
                 lil = matrix.tolil()
@@ -165,12 +172,6 @@ class Symmetrization(abc.ABC):
                 matrix.eliminate_zeros()
             # Clean tiny asymmetries from floating-point products.
             matrix = ((matrix + matrix.T) * 0.5).tocsr()
-            sw.count(
-                n_nodes=graph.n_nodes,
-                nnz_in=graph.adjacency.nnz,
-                nnz_raw=nnz_raw,
-                nnz_out=matrix.nnz,
-            )
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,

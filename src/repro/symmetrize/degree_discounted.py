@@ -214,7 +214,6 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             peak_rss_bytes,
         )
         from repro.obs.trace import span
-        from repro.perf.stopwatch import add_counters
 
         if threshold <= 0:
             raise SymmetrizationError(
@@ -276,12 +275,6 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                     candidate_pairs=int(left.size),
                     kept_pairs=int(keep.sum()),
                 )
-            add_counters(
-                "apply_pruned:degree_discounted",
-                candidate_pairs=left.size,
-                kept_pairs=int(keep.sum()),
-                pruned_pairs=int(left.size - keep.sum()),
-            )
             metric_inc(
                 "edges_pruned_total", int(left.size - keep.sum())
             )

@@ -1,24 +1,23 @@
-"""Tests for the :mod:`repro.perf` instrumentation layer and the
-``repro bench`` harness (smoke mode, wired into CI per §3.6's
+"""Tests for the instrumentation the library emits through
+:mod:`repro.obs` (span attributes and metric names the benchmarks read)
+and the ``repro bench`` harness (smoke mode, wired into CI per §3.6's
 scalability claims)."""
 
+import importlib
 import json
-import time
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.cli import main
+from repro.cluster.mlrmcl import MLRMCL
 from repro.exceptions import ReproError
 from repro.graph.generators import power_law_digraph
-from repro.perf import (
-    PerfRecorder,
-    Stopwatch,
-    add_counters,
-    current_recorder,
-    record_stage,
-    recording,
-    timed,
-)
+from repro.linalg.allpairs import thresholded_gram_matrix
+from repro.linalg.sparse_utils import TIE_RTOL
+from repro.obs.metrics import MetricsRegistry, metrics_active
+from repro.obs.trace import Span, tracing
 from repro.perf.bench import (
     BENCH_SCHEMA,
     REQUIRED_RUN_KEYS,
@@ -27,138 +26,110 @@ from repro.perf.bench import (
     write_bench,
 )
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
+from repro.symmetrize.degree_discounted import (
+    DegreeDiscountedSymmetrization,
+)
 
 
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        with Stopwatch() as sw:
-            time.sleep(0.01)
-        assert sw.seconds >= 0.005
-        assert not sw.running
-
-    def test_reentrant_accumulation(self):
-        sw = Stopwatch()
-        sw.start()
-        first = sw.stop()
-        sw.start()
-        total = sw.stop()
-        assert total >= first
-
-    def test_counters_sum(self):
-        sw = Stopwatch()
-        sw.count(items=2)
-        sw.count(items=3, other=1)
-        assert sw.counters == {"items": 5.0, "other": 1.0}
-
-    def test_reports_into_ambient_recorder(self):
-        with recording() as rec:
-            with Stopwatch("stage:test") as sw:
-                sw.count(nnz=7)
-        assert rec.stages["stage:test"].calls == 1
-        assert rec.stages["stage:test"].counters["nnz"] == 7.0
-
-    def test_stageless_reports_nowhere(self):
-        with recording() as rec:
-            with Stopwatch():
-                pass
-        assert rec.stages == {}
-
-
-class TestRecorder:
-    def test_accumulates_across_records(self):
-        rec = PerfRecorder()
-        rec.record("s", 1.0, pairs=2)
-        rec.record("s", 0.5, pairs=3)
-        assert rec.stages["s"].seconds == 1.5
-        assert rec.stages["s"].calls == 2
-        assert rec.stages["s"].counters["pairs"] == 5.0
-        assert rec.total_seconds() == 1.5
-
-    def test_add_counters_without_call(self):
-        rec = PerfRecorder()
-        rec.add_counters("s", pruned=10)
-        assert rec.stages["s"].calls == 0
-        assert rec.stages["s"].counters["pruned"] == 10.0
-
-    def test_as_dict_roundtrips_through_json(self):
-        rec = PerfRecorder()
-        rec.record("a", 0.1, n=1)
-        snapshot = json.loads(json.dumps(rec.as_dict()))
-        assert snapshot["stages"][0]["name"] == "a"
-        assert snapshot["total_seconds"] == pytest.approx(0.1)
-
-    def test_report_mentions_stage_and_counters(self):
-        rec = PerfRecorder()
-        rec.record("allpairs:vectorized", 0.25, candidate_pairs=42)
-        text = rec.report()
-        assert "allpairs:vectorized" in text
-        assert "candidate_pairs=42" in text
-        assert PerfRecorder().report() == "(no stages recorded)"
-
-    def test_ambient_noop_without_recorder(self):
-        assert current_recorder() is None
-        record_stage("s", 1.0)  # must not raise
-        add_counters("s", n=1)
-
-    def test_nested_recording_shadows(self):
-        with recording() as outer:
-            with recording() as inner:
-                record_stage("x", 1.0)
-            record_stage("y", 1.0)
-        assert "x" in inner.stages and "x" not in outer.stages
-        assert "y" in outer.stages
-
-
-class TestTimed:
-    def test_decorator_records_calls(self):
-        @timed("demo:fn")
-        def fn(value):
-            return value * 2
-
-        with recording() as rec:
-            assert fn(21) == 42
-            assert fn(1) == 2
-        assert rec.stages["demo:fn"].calls == 2
-        assert fn(3) == 6  # no recorder active: still works
+def _spans(trace: dict) -> list[Span]:
+    """Every span of a ``PipelineResult.trace`` snapshot."""
+    return [
+        node
+        for root in trace["spans"]
+        for node in Span.from_dict(root).walk()
+    ]
 
 
 class TestInstrumentationHooks:
     def test_pipeline_reports_stages(self, rng):
+        """A traced run's stage spans carry the per-stage sizes."""
         g = power_law_digraph(80, rng)
         pipe = SymmetrizeClusterPipeline(
             "degree_discounted", "mlrmcl", threshold=0.05
         )
-        result = pipe.run(g)
-        names = {s["name"] for s in result.stages["stages"]}
-        assert "pipeline:symmetrize" in names
-        assert "pipeline:cluster" in names
-        assert "symmetrize:degree_discounted" in names
-        assert "cluster:mlrmcl" in names
+        result = pipe.run(g, trace=True)
+        by_name = {s.name: s for s in _spans(result.trace)}
+        sym = by_name["symmetrize:degree_discounted"].attributes
+        for key in ("n_nodes", "nnz_in", "nnz_raw", "nnz_out"):
+            assert key in sym, key
+        assert sym["n_nodes"] == 80
+        assert sym["nnz_out"] == result.symmetrized.adjacency.nnz
+        cluster = by_name["cluster:mlrmcl"].attributes
+        assert cluster["n_clusters"] == result.clustering.n_clusters > 0
 
     def test_pipeline_uses_ambient_recorder(self, rng):
+        """An ambient metrics registry collects an untraced run and
+        is the run's metrics snapshot."""
         g = power_law_digraph(60, rng)
         pipe = SymmetrizeClusterPipeline("naive", "mlrmcl")
-        with recording() as rec:
-            pipe.run(g)
-        assert "symmetrize:naive" in rec.stages
-        assert rec.stages["pipeline:cluster"].counters["n_clusters"] > 0
+        registry = MetricsRegistry()
+        with metrics_active(registry):
+            result = pipe.run(g)
+        assert registry.counters["mcl_iterations"] >= 1
+        assert result.metrics == registry.as_dict()
 
     def test_allpairs_counters_flow_to_recorder(self, rng):
-        from repro.linalg.allpairs import thresholded_gram_matrix
-        import scipy.sparse as sp
-
+        """Per-call pair counts land on the ``allpairs:*`` span."""
         rows = sp.random_array(
             (30, 10), density=0.4, rng=rng, format="csr"
         )
-        with recording() as rec:
+        registry = MetricsRegistry()
+        with tracing() as tracer, metrics_active(registry):
             thresholded_gram_matrix(rows, 0.2, backend="vectorized")
-        counters = rec.stages["allpairs:vectorized"].counters
-        assert counters["rows"] == 30
-        assert counters["candidate_pairs"] >= counters["kept_pairs"]
+        attrs = tracer.find("allpairs:vectorized").attributes
+        assert attrs["rows"] == 30
+        assert attrs["candidate_pairs"] >= attrs["kept_pairs"]
         assert (
-            counters["pruned_pairs"]
-            == counters["candidate_pairs"] - counters["kept_pairs"]
+            registry.counters["allpairs_pairs_pruned_total"]
+            == attrs["candidate_pairs"] - attrs["kept_pairs"]
         )
+
+    def test_apply_counts_pruned_pairs_unordered(self):
+        """``edges_pruned_total`` counts unordered off-diagonal pairs,
+        the same unit ``apply_pruned`` counts in."""
+        g = power_law_digraph(500, np.random.default_rng(0))
+        sym = DegreeDiscountedSymmetrization()
+        threshold = 0.05
+        upper = sp.triu(sym.compute_matrix(g), k=1)
+        expected = int(
+            np.count_nonzero(upper.data < threshold * (1.0 - TIE_RTOL))
+        )
+        registry = MetricsRegistry()
+        with metrics_active(registry):
+            sym.apply(g, threshold=threshold)
+        assert expected > 0
+        assert registry.counters["edges_pruned_total"] == expected
+
+
+class TestPerfbenchContract:
+    """The names ``perfbench`` reads, pinned so a rename fails here
+    and not only in the benchmark."""
+
+    def test_metric_names_and_entry_points(self):
+        from perfbench.layers import LAYER_ENTRY_POINTS
+
+        g = power_law_digraph(200, np.random.default_rng(0))
+        registry = MetricsRegistry()
+        with tracing(), metrics_active(registry):
+            ugraph = DegreeDiscountedSymmetrization().apply_pruned(
+                g, 0.05
+            )
+            MLRMCL().cluster(ugraph)
+        for name in (
+            "allpairs_candidate_pairs_total",
+            "allpairs_pairs_pruned_total",
+            "edges_pruned_total",
+            "mcl_iterations",
+        ):
+            assert name in registry.counters, name
+        for name in ("mcl_final_flow_nnz", "mcl_prune_fraction"):
+            assert name in registry.gauges, name
+        for _, owner_path, attr, _ in LAYER_ENTRY_POINTS:
+            module, _, cls = owner_path.partition(":")
+            owner = importlib.import_module(module)
+            if cls:
+                owner = getattr(owner, cls)
+            assert callable(getattr(owner, attr)), (owner_path, attr)
 
 
 class TestBenchSmoke:
