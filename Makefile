@@ -6,8 +6,8 @@
 #   make format-check  ruff format --check (advisory in CI)
 #   make fault-smoke   fault-injection marker subset
 #   make chaos-smoke   chaos-harness recovery subset (retries, budgets)
-#   make bench-smoke   repro bench --smoke + benchmark smoke subset
-#   make scale-smoke   out-of-core 50k-node bench under wall/mem budget
+#   make bench-smoke   Table 1/2 benchmark subset + all-pairs kernel tests
+#   make scale-smoke   out-of-core 50k-node smoke under wall/mem budget
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
 #   make serve-chaos   SIGKILL/restart durability smoke (--state-dir)
@@ -40,14 +40,14 @@ chaos-smoke:
 	$(PYTHON) -m pytest -m chaos_smoke -q
 
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke \
-		-o BENCH_allpairs.json --runlog bench_runs.jsonl
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest -q \
 		benchmarks/test_table1_datasets.py \
 		benchmarks/test_table2_edges.py
+	$(PYTHON) -m pytest -q tests/test_linalg_allpairs.py
 
 scale-smoke:
 	REPRO_SCALE_SMOKE=1 $(PYTHON) -m pytest -m scale_smoke -q
+	$(PYTHON) -m pytest -q tests/test_linalg_mmcsr.py
 
 cache-smoke:
 	$(PYTHON) tools/cache_smoke.py
@@ -73,5 +73,4 @@ ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
 	serve-smoke serve-chaos perfbench-smoke
 
 clean:
-	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \
-		bench_runs.jsonl
+	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage

@@ -8,8 +8,6 @@ Subcommands mirror the library's workflow on plain-text edge lists::
     python -m repro pipeline    graph.txt labels.txt -m dd -c metis -k 20
     python -m repro generate    cora out.txt --labels labels.txt -n 1500
     python -m repro evaluate    labels.txt truth.txt
-    python -m repro bench       -o BENCH_allpairs.json --smoke
-    python -m repro bench       --scale -o BENCH_scale.json
     python -m repro cache       list | stats | clear
     python -m repro sweep       graph.txt -k 10 20 30 --journal run.jsonl
     python -m repro resume      run.jsonl
@@ -29,11 +27,11 @@ unfinished tail; ``runs show <runlog> --failures`` lists the failed
 and retried stages a journaled run recorded (the argument may also be
 a journal file directly).
 
-Observability (see ``docs/observability.md``): ``pipeline`` and
-``bench`` append :class:`~repro.obs.manifest.RunManifest` records to a
-JSONL run log with ``--runlog``; ``pipeline --trace-out`` exports the
-span tree as Chrome ``trace_event`` JSON; ``runs`` lists/shows/diffs
-run logs and ``trace`` re-exports a stored manifest's span tree::
+Observability (see ``docs/observability.md``): ``pipeline`` appends
+:class:`~repro.obs.manifest.RunManifest` records to a JSONL run log
+with ``--runlog``; ``pipeline --trace-out`` exports the span tree as
+Chrome ``trace_event`` JSON; ``runs`` lists/shows/diffs run logs and
+``trace`` re-exports a stored manifest's span tree::
 
     python -m repro pipeline graph.txt out.txt --runlog runs.jsonl
     python -m repro runs     list runs.jsonl
@@ -103,11 +101,20 @@ def _write_labels(labels: np.ndarray, path: str | Path) -> None:
 
 
 def _read_labels(path: str | Path) -> np.ndarray:
-    values = [
-        int(line)
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    values = []
+    for lineno, line in enumerate(
+        Path(path).read_text().splitlines(), start=1
+    ):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ReproError(
+                f"{path}:{lineno}: expected an integer label, "
+                f"got {line!r}"
+            ) from None
     return np.asarray(values, dtype=np.int64)
 
 
@@ -301,97 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("labels", help="clustering labels file")
     p.add_argument("truth", help="ground-truth labels file (-1 = none)")
-
-    p = sub.add_parser(
-        "bench",
-        help=(
-            "symmetrize+cluster perf sweep on synthetic power-law "
-            "graphs; writes BENCH_allpairs.json (BENCH_scale.json "
-            "with --scale)"
-        ),
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help=(
-            "where to write the JSON results (default: "
-            "BENCH_allpairs.json, or BENCH_scale.json with --scale)"
-        ),
-    )
-    p.add_argument(
-        "--scale",
-        action="store_true",
-        help=(
-            "out-of-core scale bench instead: mmap-backed power-law "
-            "graphs (default 100k and 1M nodes) through the sharded "
-            "symmetrize->prune path, with peak-RSS regression floor"
-        ),
-    )
-    p.add_argument(
-        "--block-size",
-        type=int,
-        default=4096,
-        help="rows per shard block in --scale mode",
-    )
-    p.add_argument(
-        "--d-max",
-        type=int,
-        default=None,
-        help=(
-            "cap on out-degrees and expected in-degrees for --scale "
-            "graphs (default: fixed cap of 100 so the curve isolates "
-            "scaling in n)"
-        ),
-    )
-    p.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=None,
-        help="node counts to sweep (default depends on --smoke)",
-    )
-    p.add_argument(
-        "-t",
-        "--thresholds",
-        type=float,
-        nargs="+",
-        default=None,
-        help="prune thresholds to sweep",
-    )
-    p.add_argument(
-        "--backends",
-        nargs="+",
-        default=["python", "vectorized"],
-        help="all-pairs backends to time",
-    )
-    p.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="parallel row-block workers for the vectorized backend",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-scale sweep (one 2k-node graph) for CI",
-    )
-    p.add_argument(
-        "--no-cluster",
-        action="store_true",
-        help="skip the MLR-MCL stage-2 timing",
-    )
-    p.add_argument(
-        "--no-cache-sweep",
-        action="store_true",
-        help="skip the cold-vs-warm artifact-cache sweep",
-    )
-    p.add_argument("-s", "--seed", type=int, default=0)
-    p.add_argument(
-        "--runlog",
-        default=None,
-        help="append a bench RunManifest to this JSONL run log",
-    )
 
     p = sub.add_parser(
         "cache",
@@ -953,79 +869,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        bench_manifest,
-        format_summary,
-        run_bench,
-        write_bench,
-    )
-
-    if args.scale:
-        return _cmd_bench_scale(args)
-    if args.output is None:
-        args.output = "BENCH_allpairs.json"
-    results = run_bench(
-        sizes=args.sizes,
-        thresholds=args.thresholds,
-        backends=args.backends,
-        n_jobs=args.n_jobs,
-        seed=args.seed,
-        smoke=args.smoke,
-        with_cluster=not args.no_cluster,
-        with_cache_sweep=not args.no_cache_sweep,
-    )
-    path = write_bench(results, args.output)
-    print(format_summary(results))
-    print(f"results written to {path}")
-    if args.runlog is not None:
-        from repro.obs.manifest import append_manifest
-
-        append_manifest(bench_manifest(results), args.runlog)
-        print(f"run manifest appended to {args.runlog}")
-    return 0 if results["regression"]["passed"] else 1
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.perf.bench import write_bench
-    from repro.perf.scale_bench import (
-        DEFAULT_SCALE_D_MAX,
-        DEFAULT_SCALE_THRESHOLD,
-        format_scale_summary,
-        run_scale_bench,
-        scale_manifest,
-    )
-
-    threshold = (
-        args.thresholds[0]
-        if args.thresholds
-        else DEFAULT_SCALE_THRESHOLD
-    )
-    results = run_scale_bench(
-        sizes=args.sizes,
-        threshold=threshold,
-        n_jobs=args.n_jobs,
-        block_size=args.block_size,
-        d_max=(
-            args.d_max if args.d_max is not None else DEFAULT_SCALE_D_MAX
-        ),
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    path = write_bench(
-        results,
-        args.output if args.output is not None else "BENCH_scale.json",
-    )
-    print(format_scale_summary(results))
-    print(f"results written to {path}")
-    if args.runlog is not None:
-        from repro.obs.manifest import append_manifest
-
-        append_manifest(scale_manifest(results), args.runlog)
-        print(f"run manifest appended to {args.runlog}")
-    return 0 if results["regression"]["passed"] else 1
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.engine.cache import ArtifactCache, default_cache_dir
 
@@ -1380,7 +1223,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "generate": _cmd_generate,
     "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "runs": _cmd_runs,
     "trace": _cmd_trace,

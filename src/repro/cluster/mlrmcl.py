@@ -212,7 +212,7 @@ def _rmcl_iterations(
     metric_set("mcl_final_flow_nnz", flow.nnz)
     # Gauge semantics (last write wins) make this the *finest-level*
     # prune fraction once the multi-level wrapper finishes — the
-    # figure that explains per-iteration cost in the bench output.
+    # figure that explains per-iteration cost in a benchmark's trace.
     metric_set(
         "mcl_prune_fraction",
         entries_pruned / entries_seen if entries_seen else 0.0,

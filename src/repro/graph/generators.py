@@ -288,7 +288,7 @@ def power_law_mmcsr(
     :class:`~repro.linalg.mmcsr.MmapCSRBuilder` and wraps the
     finished store with :meth:`DirectedGraph.from_mmcsr`, so peak
     resident memory stays O(n + chunk) however many edges are drawn
-    — the generator behind the 100k/1M scale-bench points. Edges are
+    — the generator behind the 50k-node scale smoke. Edges are
     unweighted: duplicate draws merged by the builder are clamped
     back to weight 1, matching :func:`power_law_digraph`.
     """

@@ -1,4 +1,4 @@
-"""Run manifests: provenance records for pipeline and bench runs.
+"""Run manifests: provenance records for pipeline and service runs.
 
 A :class:`RunManifest` captures everything needed to interpret — and
 re-run — one invocation: the configuration, a content fingerprint of
@@ -119,12 +119,12 @@ def collect_environment() -> dict[str, Any]:
 
 @dataclass
 class RunManifest:
-    """Provenance record of one pipeline or bench invocation.
+    """Provenance record of one pipeline run or service job.
 
     Attributes
     ----------
     kind:
-        ``"pipeline"`` or ``"bench"``.
+        ``"pipeline"`` or ``"service"``.
     name:
         Human label, e.g. ``"degree_discounted.mlrmcl"``.
     created_unix:

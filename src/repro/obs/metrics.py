@@ -18,9 +18,9 @@ Metric kinds follow the usual conventions:
 - **histogram** — distribution summary (count/sum/min/max plus decade
   buckets): per-block candidate counts, per-span durations.
 
-``repro bench`` and the pipeline's run manifests snapshot the registry
-with :meth:`MetricsRegistry.as_dict`; see ``docs/observability.md``
-for the metrics glossary.
+Run manifests snapshot the registry with
+:meth:`MetricsRegistry.as_dict`; see ``docs/observability.md`` for
+the metrics glossary.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ class MetricsRegistry:
         """Counters and gauges as one flat ``{name: value}`` mapping.
 
         Histograms contribute their count under ``<name>_count`` and
-        sum under ``<name>_sum`` — the shape ``repro bench`` embeds in
-        ``BENCH_allpairs.json`` run entries.
+        sum under ``<name>_sum``.
         """
         out: dict[str, float] = {}
         out.update(self.counters)
@@ -235,8 +234,7 @@ def peak_rss_bytes() -> int:
 
     A monotone high-water mark (``getrusage``'s ``ru_maxrss``), not an
     instantaneous reading — the number the out-of-core paths report as
-    the ``peak_rss_bytes`` gauge and the scale bench asserts its
-    memory ceiling against. Returns 0 on platforms without
+    the ``peak_rss_bytes`` gauge. Returns 0 on platforms without
     :mod:`resource` (Windows).
     """
     try:

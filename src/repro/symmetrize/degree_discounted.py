@@ -134,9 +134,9 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         Returns ``Y`` with ``B_d = Y Yᵀ`` (when coupling is included)
         and ``Z`` with ``C_d = Z Zᵀ`` (when co-citation is included),
         the matrices :func:`~repro.linalg.allpairs
-        .thresholded_gram_matrix` is run on. Exposed so the bench
-        harness can time the all-pairs engine on exactly the rows the
-        pruned symmetrization searches.
+        .thresholded_gram_matrix` is run on. Exposed so a benchmark
+        can time the all-pairs engine on exactly the rows the pruned
+        symmetrization searches.
         """
         if isinstance(self.alpha, str) or isinstance(self.beta, str):
             raise SymmetrizationError(

@@ -46,6 +46,11 @@ class TestParser:
             args = parser.parse_args(command)
             assert args.command == command[0]
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestStats:
     def test_prints_statistics(self, graph_file, capsys):
@@ -130,6 +135,16 @@ class TestClusterAndEvaluate:
         truth.write_text("0\n0\n1\n1\n")
         assert main(["evaluate", str(labels), str(truth)]) == 0
         assert "Avg-F: 100.00" in capsys.readouterr().out
+
+    def test_evaluate_malformed_labels(self, tmp_path, capsys):
+        labels = tmp_path / "l.txt"
+        truth = tmp_path / "t.txt"
+        labels.write_text("0\n0\nx\n1\n")
+        truth.write_text("0\n0\n1\n1\n")
+        assert main(["evaluate", str(labels), str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{labels}:3" in err
 
 
 class TestPipeline:

@@ -7,6 +7,10 @@ own canonical CSR bit-for-bit, a build that crashes at any point must
 leave no partial store at the target path (``meta.json`` is the
 commit record), and routing a kernel through ``n_jobs`` shard workers
 must change nothing about its output bytes.
+
+The ``scale_smoke``-marked test runs the same identity at ~50k nodes
+under a peak-RSS ceiling; it is opt-in (``REPRO_SCALE_SMOKE=1``,
+``make scale-smoke``).
 """
 
 import os
@@ -21,6 +25,11 @@ import scipy.sparse as sp
 
 from repro.exceptions import StorageError
 from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder
+from repro.obs.metrics import (
+    MetricsRegistry,
+    metrics_active,
+    peak_rss_bytes,
+)
 
 
 def _random_csr(rng, shape=(60, 45), density=0.15) -> sp.csr_array:
@@ -258,9 +267,7 @@ class TestShardDifferential:
             factor, 0.2, block_size=64, n_jobs=4
         )
         assert serial.nnz > 0
-        assert serial.indptr.tobytes() == sharded.indptr.tobytes()
-        assert serial.indices.tobytes() == sharded.indices.tobytes()
-        assert serial.data.tobytes() == sharded.data.tobytes()
+        _assert_same_bytes(serial, sharded)
 
     def test_degree_discounted_shard_identity(self, rng):
         from repro.symmetrize import DegreeDiscountedSymmetrization
@@ -270,10 +277,70 @@ class TestShardDifferential:
         serial = sym.apply_pruned(
             graph, 0.2, block_size=64, n_jobs=None
         ).adjacency.tocsr()
-        sharded = sym.apply_pruned(
-            graph, 0.2, block_size=64, n_jobs=4
-        ).adjacency.tocsr()
+        registry = MetricsRegistry()
+        with metrics_active(registry):
+            sharded = sym.apply_pruned(
+                graph, 0.2, block_size=64, n_jobs=4
+            ).adjacency.tocsr()
         assert serial.nnz > 0
-        assert serial.indptr.tobytes() == sharded.indptr.tobytes()
-        assert serial.indices.tobytes() == sharded.indices.tobytes()
-        assert serial.data.tobytes() == sharded.data.tobytes()
+        _assert_same_bytes(serial, sharded)
+        assert registry.gauges["shard_count"] >= 1
+        assert registry.gauges["peak_rss_bytes"] > 0
+        assert "shard_bytes_spilled" in registry.counters
+
+
+def _assert_same_bytes(a: sp.csr_array, b: sp.csr_array) -> None:
+    assert a.shape == b.shape
+    assert a.indptr.tobytes() == b.indptr.tobytes()
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.scale_smoke
+@pytest.mark.skipif(
+    os.environ.get("REPRO_SCALE_SMOKE") != "1",
+    reason="minutes-scale; run via `make scale-smoke` "
+    "(REPRO_SCALE_SMOKE=1)",
+)
+def test_scale_smoke_under_budget(tmp_path):
+    """~50k nodes through the mmap + shard path under a wall/memory
+    budget: peak RSS of this process and its shard workers stays under
+    2 GiB, and the 4-shard output is byte-identical to serial.
+
+    ``ru_maxrss`` is a process-lifetime high-water mark, so this runs
+    in its own pytest process (``make scale-smoke``), never inside the
+    tier-1 suite.
+    """
+    import resource
+
+    from repro.engine.policy import Budget, BudgetMeter
+    from repro.graph.generators import power_law_mmcsr
+    from repro.symmetrize import DegreeDiscountedSymmetrization
+
+    max_rss = 2 * 1024**3
+    meter = BudgetMeter(
+        Budget(wall_s=1200.0, mem_bytes=max_rss), scope="scale-smoke"
+    )
+    sym = DegreeDiscountedSymmetrization()
+    with meter:
+        graph = power_law_mmcsr(
+            50_000,
+            tmp_path / "graph.mmcsr",
+            np.random.default_rng(0),
+            d_max=100,
+        )
+        pruned = sym.apply_pruned(graph, 0.5, block_size=4096, n_jobs=2)
+        serial = sym.apply_pruned(graph, 0.5, block_size=4096)
+        sharded = sym.apply_pruned(graph, 0.5, block_size=4096, n_jobs=4)
+    meter.enforce()
+    # Shard workers are reaped pool processes; ru_maxrss is KiB on
+    # Linux and bytes on macOS.
+    rss_children = resource.getrusage(
+        resource.RUSAGE_CHILDREN
+    ).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+    assert graph.n_nodes == 50_000
+    assert peak_rss_bytes() < max_rss, peak_rss_bytes()
+    assert rss_children < max_rss, rss_children
+    serial = serial.adjacency.tocsr()
+    _assert_same_bytes(serial, sharded.adjacency.tocsr())
+    _assert_same_bytes(serial, pruned.adjacency.tocsr())
