@@ -43,11 +43,13 @@ bench-smoke:
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest -q \
 		benchmarks/test_table1_datasets.py \
 		benchmarks/test_table2_edges.py
-	$(PYTHON) -m pytest -q tests/test_linalg_allpairs.py
+	$(PYTHON) -m pytest -q tests/test_linalg_allpairs.py \
+		tests/test_perf.py::TestBenchSmoke
 
 scale-smoke:
 	REPRO_SCALE_SMOKE=1 $(PYTHON) -m pytest -m scale_smoke -q
-	$(PYTHON) -m pytest -q tests/test_linalg_mmcsr.py
+	$(PYTHON) -m pytest -q tests/test_linalg_mmcsr.py \
+		tests/test_scale_bench.py
 
 cache-smoke:
 	$(PYTHON) tools/cache_smoke.py

@@ -25,11 +25,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import StorageError
 from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder
-from repro.obs.metrics import (
-    MetricsRegistry,
-    metrics_active,
-    peak_rss_bytes,
-)
+from repro.obs.metrics import peak_rss_bytes
 
 
 def _random_csr(rng, shape=(60, 45), density=0.15) -> sp.csr_array:
@@ -277,16 +273,11 @@ class TestShardDifferential:
         serial = sym.apply_pruned(
             graph, 0.2, block_size=64, n_jobs=None
         ).adjacency.tocsr()
-        registry = MetricsRegistry()
-        with metrics_active(registry):
-            sharded = sym.apply_pruned(
-                graph, 0.2, block_size=64, n_jobs=4
-            ).adjacency.tocsr()
+        sharded = sym.apply_pruned(
+            graph, 0.2, block_size=64, n_jobs=4
+        ).adjacency.tocsr()
         assert serial.nnz > 0
         _assert_same_bytes(serial, sharded)
-        assert registry.gauges["shard_count"] >= 1
-        assert registry.gauges["peak_rss_bytes"] > 0
-        assert "shard_bytes_spilled" in registry.counters
 
 
 def _assert_same_bytes(a: sp.csr_array, b: sp.csr_array) -> None:

@@ -3,8 +3,10 @@
 reads."""
 
 import importlib
+import time
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.cluster.mlrmcl import MLRMCL
@@ -112,13 +114,64 @@ class TestPerfbenchContract:
             assert name in registry.counters, name
         for name in ("mcl_final_flow_nnz", "mcl_prune_fraction"):
             assert name in registry.gauges, name
-        assert "symmetrize_nnz_out" in registry.gauges
-        assert registry.counters["mcl_iterations"] >= 1
-        assert 0.0 <= registry.gauges["mcl_prune_fraction"] <= 1.0
-        assert registry.gauges["mcl_final_flow_nnz"] > 0
         for _, owner_path, attr, _ in LAYER_ENTRY_POINTS:
             module, _, cls = owner_path.partition(":")
             owner = importlib.import_module(module)
             if cls:
                 owner = getattr(owner, cls)
             assert callable(getattr(owner, attr)), (owner_path, attr)
+
+
+class TestBenchSmoke:
+    """The seconds-scale symmetrize → cluster smoke: one 2k-node
+    power-law graph at threshold 0.5 through ``apply_pruned`` on both
+    all-pairs backends, then MLR-MCL on the vectorized output, each
+    run under its own metrics registry."""
+
+    @pytest.fixture(scope="class")
+    def smoke_runs(self):
+        g = power_law_digraph(2000, np.random.default_rng(0))
+        sym = DegreeDiscountedSymmetrization()
+        runs, outputs = {}, {}
+        for backend in ("python", "vectorized"):
+            registry = MetricsRegistry()
+            with metrics_active(registry):
+                t0 = time.perf_counter()
+                outputs[backend] = sym.apply_pruned(
+                    g, 0.5, backend=backend
+                )
+                seconds = time.perf_counter() - t0
+            runs[backend] = {
+                "seconds": seconds,
+                "edges_out": outputs[backend].n_edges,
+                "metrics": registry.flat(),
+            }
+        registry = MetricsRegistry()
+        with metrics_active(registry):
+            MLRMCL().cluster(outputs["vectorized"])
+        runs["mlrmcl"] = {"metrics": registry.flat()}
+        return runs
+
+    def test_vectorized_not_slower_than_python(self, smoke_runs):
+        python = smoke_runs["python"]["seconds"]
+        vectorized = smoke_runs["vectorized"]["seconds"]
+        assert vectorized <= python, (vectorized, python)
+
+    def test_cluster_runs_carry_mcl_metrics(self, smoke_runs):
+        metrics = smoke_runs["mlrmcl"]["metrics"]
+        assert metrics["mcl_iterations"] >= 1
+        assert 0.0 <= metrics["mcl_prune_fraction"] <= 1.0
+        assert metrics["mcl_final_flow_nnz"] > 0
+
+    def test_symmetrize_runs_carry_engine_metrics(self, smoke_runs):
+        for backend in ("python", "vectorized"):
+            metrics = smoke_runs[backend]["metrics"]
+            assert "edges_pruned_total" in metrics, backend
+            assert "symmetrize_nnz_out" in metrics, backend
+
+    def test_backends_produce_same_edges(self, smoke_runs):
+        assert smoke_runs["python"]["edges_out"] > 0
+        assert (
+            smoke_runs["python"]["edges_out"]
+            == smoke_runs["vectorized"]["edges_out"]
+        )

@@ -1,185 +1,51 @@
-"""Tests for :mod:`repro.perf.scale_bench` — the out-of-core scale
-harness behind ``repro bench --scale``.
+"""Tests of the out-of-core symmetrize → prune path at miniature
+scale: mmap-backed power-law graphs of a few thousand nodes pruned
+through the sharded fan-out, with the fan-out's gauges checked on each
+run. The ~50k-node configuration under a memory ceiling is the opt-in
+``scale_smoke`` test in ``tests/test_linalg_mmcsr.py``."""
 
-The unmarked tests run a miniature sweep (a few thousand nodes) so
-the schema, the regression block and the shard-vs-monolithic
-differential stay honest in tier-1 time. The ``scale_smoke``-marked
-test runs the real ~50k smoke configuration under a wall/memory
-:class:`~repro.engine.policy.Budget` — the dedicated CI job
-(``make scale-smoke``).
-"""
-
-import json
-import os
-from pathlib import Path
-
+import numpy as np
 import pytest
 
-from repro.cli import main
-from repro.exceptions import ReproError
-from repro.perf.bench import write_bench
-from repro.perf.scale_bench import (
-    MAX_PEAK_RSS_BYTES,
-    REQUIRED_POINT_KEYS,
-    SCALE_SCHEMA,
-    format_scale_summary,
-    run_scale_bench,
-    scale_manifest,
-    scale_smoke_enabled,
+from repro.graph.generators import power_law_mmcsr
+from repro.obs.metrics import MetricsRegistry, metrics_active
+from repro.symmetrize.degree_discounted import (
+    DegreeDiscountedSymmetrization,
 )
 
 
 class TestScaleBenchMini:
     @pytest.fixture(scope="class")
-    def mini_results(self):
-        # Two tiny sizes: enough to exercise the mmap generation, the
-        # sharded fan-out, the differential and the regression block.
-        return run_scale_bench(
-            sizes=[1500, 3000],
-            n_jobs=2,
-            block_size=256,
-            shard_jobs=2,
-        )
+    def mini_points(self, tmp_path_factory):
+        # Two tiny sizes, two shard workers, small blocks: enough to
+        # exercise the mmap store and the sharded fan-out.
+        workdir = tmp_path_factory.mktemp("scale")
+        sym = DegreeDiscountedSymmetrization()
+        points = []
+        for n_nodes in (1500, 3000):
+            graph = power_law_mmcsr(
+                n_nodes,
+                workdir / f"graph-{n_nodes}.mmcsr",
+                np.random.default_rng(0),
+                d_max=100,
+            )
+            registry = MetricsRegistry()
+            with metrics_active(registry):
+                pruned = sym.apply_pruned(
+                    graph, 0.5, block_size=256, n_jobs=2
+                )
+            points.append(
+                {
+                    "n_nodes": graph.n_nodes,
+                    "edges_out": pruned.n_edges,
+                    "metrics": registry.flat(),
+                }
+            )
+        return points
 
-    def test_schema(self, mini_results):
-        assert mini_results["schema"] == SCALE_SCHEMA
-        for key in (
-            "config",
-            "environment",
-            "points",
-            "differential",
-            "regression",
-        ):
-            assert key in mini_results, key
-        for point in mini_results["points"]:
-            assert REQUIRED_POINT_KEYS <= set(point), point
-        json.dumps(mini_results)  # must be serializable
-
-    def test_points_ascend_and_scale(self, mini_results):
-        sizes = [p["n_nodes"] for p in mini_results["points"]]
-        assert sizes == sorted(sizes) == [1500, 3000]
-        for point in mini_results["points"]:
-            assert point["n_edges"] > point["n_nodes"]
-            assert point["store_bytes"] > 0
-            assert point["generate_seconds"] >= 0
-            assert point["symmetrize_seconds"] > 0
-
-    def test_points_carry_shard_metrics(self, mini_results):
-        for point in mini_results["points"]:
+    def test_points_carry_shard_metrics(self, mini_points):
+        assert [p["n_nodes"] for p in mini_points] == [1500, 3000]
+        for point in mini_points:
             assert point["metrics"]["shard_count"] >= 1
             assert point["metrics"]["peak_rss_bytes"] > 0
             assert "shard_bytes_spilled" in point["metrics"]
-
-    def test_rss_recorded_and_under_floor(self, mini_results):
-        reg = mini_results["regression"]
-        assert reg["observed_peak_rss_bytes"] > 0
-        assert reg["observed_peak_rss_bytes"] <= MAX_PEAK_RSS_BYTES
-        assert reg["thresholds"]["max_peak_rss_bytes"] == (
-            MAX_PEAK_RSS_BYTES
-        )
-        assert reg["passed"] is True
-        assert reg["failures"] == []
-
-    def test_differential_identical(self, mini_results):
-        diff = mini_results["differential"]
-        assert diff["n_nodes"] == 1500
-        assert diff["identical"] is True
-        assert mini_results["regression"]["differential_identical"]
-
-    def test_manifest(self, mini_results):
-        manifest = scale_manifest(mini_results)
-        assert manifest.kind == "bench"
-        assert manifest.name == "bench-scale"
-        assert manifest.metrics["regression_passed"] == 1.0
-        assert manifest.metrics["differential_identical"] == 1.0
-        assert any(
-            key.endswith("_symmetrize_seconds") for key in manifest.timings
-        )
-
-    def test_write_and_summary(self, mini_results, tmp_path):
-        path = write_bench(mini_results, tmp_path / "scale.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCALE_SCHEMA
-        text = format_scale_summary(mini_results)
-        assert "regression: PASS" in text
-        assert "identical=yes" in text
-
-    def test_rejects_empty_sizes(self):
-        with pytest.raises(ReproError, match="at least one size"):
-            run_scale_bench(sizes=[])
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ReproError, match="positive threshold"):
-            run_scale_bench(sizes=[100], threshold=0.0)
-
-
-class TestScaleBenchCli:
-    def test_bench_scale_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_scale.json"
-        code = main(
-            [
-                "bench",
-                "--scale",
-                "--sizes",
-                "2000",
-                "-o",
-                str(out),
-            ]
-        )
-        assert code == 0
-        results = json.loads(out.read_text())
-        assert results["schema"] == SCALE_SCHEMA
-        assert results["regression"]["passed"] is True
-        stdout = capsys.readouterr().out
-        assert "regression: PASS" in stdout
-
-    def test_bench_scale_runlog(self, tmp_path, capsys):
-        from repro.obs.manifest import read_manifests
-
-        out = tmp_path / "BENCH_scale.json"
-        log = tmp_path / "runs.jsonl"
-        code = main(
-            [
-                "bench",
-                "--scale",
-                "--sizes",
-                "2000",
-                "-o",
-                str(out),
-                "--runlog",
-                str(log),
-            ]
-        )
-        assert code == 0
-        manifests = read_manifests(log)
-        assert len(manifests) == 1
-        assert manifests[0].name == "bench-scale"
-
-
-@pytest.mark.scale_smoke
-@pytest.mark.skipif(
-    not scale_smoke_enabled(),
-    reason="minutes-scale; run via `make scale-smoke` "
-    "(REPRO_SCALE_SMOKE=1)",
-)
-def test_scale_smoke_under_budget(tmp_path):
-    """The CI-grade smoke: ~50k nodes through the mmap + shard path,
-    metered against wall/memory ceilings, regression floor enforced."""
-    from repro.engine.policy import Budget, BudgetMeter
-
-    budget = Budget(wall_s=1200.0, mem_bytes=MAX_PEAK_RSS_BYTES)
-    meter = BudgetMeter(budget, scope="scale-smoke")
-    with meter:
-        results = run_scale_bench(smoke=True)
-    meter.enforce()
-    # CI points REPRO_SCALE_BENCH_OUT at the workspace so the smoke's
-    # BENCH_scale.json can be uploaded as a trajectory artifact.
-    out = os.environ.get("REPRO_SCALE_BENCH_OUT")
-    path = write_bench(
-        results, Path(out) if out else tmp_path / "BENCH_scale.json"
-    )
-    loaded = json.loads(path.read_text())
-    assert loaded["config"]["smoke"] is True
-    assert loaded["points"][0]["n_nodes"] == 50_000
-    assert loaded["regression"]["passed"] is True
-    assert loaded["differential"]["identical"] is True
