@@ -75,6 +75,7 @@ from repro.engine.chaos import chaos
 from repro.engine.pool import WorkerPool, current_pool
 from repro.exceptions import StorageError, SymmetrizationError
 from repro.linalg.mmcsr import MmapCSR
+from repro.linalg.sparse_utils import product_row_spans
 from repro.obs.metrics import (
     metric_inc,
     metric_observe,
@@ -367,38 +368,6 @@ def _suffix_column_counts(suffix: sp.csr_array) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _row_spans(
-    block: sp.csr_array,
-    colcount: np.ndarray,
-    cap: int = _MAX_BLOCK_CANDIDATES,
-) -> list[tuple[int, int]]:
-    """Split a row block into spans of bounded candidate estimate.
-
-    ``colcount`` holds the suffix index's per-column entry counts, so
-    ``sum(colcount[features of row r])`` upper-bounds row ``r``'s
-    share of the candidate product's nnz. Greedy accumulation keeps
-    each span's estimate under ``cap`` (single rows may exceed it —
-    a row's candidates cannot be subdivided). Spans cover the block's
-    rows exactly once, in order.
-    """
-    n_rows = block.shape[0]
-    entry_cum = np.concatenate(
-        ([0], np.cumsum(colcount[block.indices], dtype=np.int64))
-    )
-    # Cumulative estimate by row boundary: row_cum[i] covers rows < i.
-    row_cum = entry_cum[block.indptr]
-    spans: list[tuple[int, int]] = []
-    a = 0
-    while a < n_rows:
-        b = int(
-            np.searchsorted(row_cum, row_cum[a] + cap, side="right") - 1
-        )
-        b = max(b, a + 1)
-        spans.append((a, min(b, n_rows)))
-        a = b
-    return spans
-
-
 def _candidate_pairs(
     block: sp.csr_array,
     suffix_window: sp.csr_array,
@@ -415,7 +384,7 @@ def _candidate_pairs(
     ceiling, not the hub structure of the matrix.
     """
     suffix_t = suffix_window.T
-    for a, b in _row_spans(block, colcount):
+    for a, b in product_row_spans(block, colcount, _MAX_BLOCK_CANDIDATES):
         cand = (block[a:b] @ suffix_t).tocoo()
         left = cand.row.astype(np.int64) + start + a
         right = cand.col.astype(np.int64)

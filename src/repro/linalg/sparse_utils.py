@@ -4,6 +4,8 @@ These operations are the building blocks of the symmetrizations:
 degree scaling implements the ``D^-alpha`` factors of Eq. 6–8, pruning
 implements §3.5, and top-k extraction regenerates Table 5 (the
 top-weighted edges of each symmetrized Wikipedia graph).
+:func:`product_row_spans` bounds the memory of a sparse product
+computed a row span at a time (all-pairs candidates, R-MCL expansion).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "prune_matrix",
     "top_k_entries",
     "sample_rows_similarity",
+    "product_row_spans",
 ]
 
 #: Relative tolerance for threshold comparisons: a value within
@@ -173,3 +176,33 @@ def sample_rows_similarity(
     if not chunks:
         return np.array([], dtype=np.float64)
     return np.concatenate(chunks) if chunks else np.array([])
+
+
+def product_row_spans(
+    left: sp.csr_array, right_row_nnz: np.ndarray, cap: int
+) -> list[tuple[int, int]]:
+    """Split ``left``'s rows into spans of bounded ``left @ right`` fill.
+
+    ``right_row_nnz[k]`` is the entry count of row ``k`` of ``right``,
+    so ``sum(right_row_nnz[features of row r])`` upper-bounds row
+    ``r``'s share of the product's nnz. Greedy accumulation keeps each
+    span's estimate under ``cap`` (single rows may exceed it — a row
+    of the product cannot be subdivided). Spans cover ``left``'s rows
+    exactly once, in order.
+    """
+    n_rows = left.shape[0]
+    entry_cum = np.concatenate(
+        ([0], np.cumsum(right_row_nnz[left.indices], dtype=np.int64))
+    )
+    # Cumulative estimate by row boundary: row_cum[i] covers rows < i.
+    row_cum = entry_cum[left.indptr]
+    spans: list[tuple[int, int]] = []
+    a = 0
+    while a < n_rows:
+        b = int(
+            np.searchsorted(row_cum, row_cum[a] + cap, side="right") - 1
+        )
+        b = max(b, a + 1)
+        spans.append((a, min(b, n_rows)))
+        a = b
+    return spans

@@ -4,17 +4,27 @@ Each algorithm must (a) recover planted structure, (b) respect its
 cluster-count contract, (c) behave sensibly on degenerate inputs.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.cluster.mlrmcl as mlrmcl
 from repro.cluster import (
     GraclusClusterer,
     MetisClusterer,
     MLRMCL,
     SpectralClusterer,
 )
+from repro.datasets import make_cora_like, make_wikipedia_like
 from repro.exceptions import ClusteringError
 from repro.graph import UndirectedGraph
+from repro.obs.metrics import metrics_active
+from repro.symmetrize import get_symmetrization
+from repro.symmetrize.pruning import (
+    choose_threshold_for_degree,
+    prune_graph,
+)
 from tests.conftest import planted_two_cluster_ugraph
 
 
@@ -40,6 +50,30 @@ def _planted_labels_match(labels, n_cliques, clique_size):
             return False
     firsts = [labels[c * clique_size] for c in range(n_cliques)]
     return len(set(firsts)) == n_cliques
+
+
+_GENERATORS = {"cora": make_cora_like, "wiki": make_wikipedia_like}
+
+
+@pytest.fixture(scope="module")
+def paper_density_graphs():
+    """400-node, 8-category generator graphs, degree-discounted and
+    pruned at the §5.3.1 threshold for mean degree 20."""
+    graphs = {}
+    for name, make in _GENERATORS.items():
+        full = get_symmetrization("degree_discounted").apply(
+            make(400, 8).graph
+        )
+        graphs[name] = prune_graph(
+            full, choose_threshold_for_degree(full, 20.0)
+        )
+    return graphs
+
+
+def _labels_sha256(labels):
+    return hashlib.sha256(
+        np.ascontiguousarray(labels, dtype=np.int64).tobytes()
+    ).hexdigest()
 
 
 class TestMetis:
@@ -191,13 +225,118 @@ class TestMLRMCL:
         c = MLRMCL(inflation=2.0, coarsen_to=30).cluster(g)
         assert c.n_clusters == 10
 
-    def test_rejects_bad_inflation(self):
-        with pytest.raises(ClusteringError):
-            MLRMCL(inflation=1.0)
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("inflation", 1.0),
+            ("inflation", 0.5),
+            ("inflation", float("nan")),
+            ("inflation", float("inf")),
+            ("prune_fraction", 1.5),
+            ("prune_fraction", -0.1),
+            ("prune_fraction", float("nan")),
+            ("self_loop", -1.0),
+            ("self_loop", float("nan")),
+            ("iterations_coarse", -1),
+            ("iterations_per_level", -1),
+            ("iterations_finest", -1),
+            ("coarsen_to", 0),
+        ],
+    )
+    def test_rejects_bad_arguments(self, name, value):
+        with pytest.raises(ClusteringError, match=name):
+            MLRMCL(**{name: value})
 
-    def test_rejects_bad_prune_fraction(self):
-        with pytest.raises(ClusteringError):
-            MLRMCL(prune_fraction=1.5)
+    # Recorded before R-MCL expanded in column blocks; the blocked
+    # expansion must reproduce the whole-matrix labels exactly.
+    # coarsen_to=1000 runs R-MCL on the input graph alone, 100 runs
+    # the multi-level path.
+    GOLDEN_LABELS = {
+        ("cora", 1000, 8): "3d00db0ab9f76ad2931d4480163d7485"
+        "0b5bd271b7cf49aced08ecef1dc25a3b",
+        ("cora", 1000, None): "aa67b66b63526bae6e1d1d305dc1bdd0"
+        "f7f052af48a4f817e2bab8a178b0e393",
+        ("cora", 100, 8): "44c8531fd0d8749790b60563c39ca445"
+        "28fc11c1b4b5204c8a74523aff5a5029",
+        ("cora", 100, None): "2c8b84f6b624896a8d24f48ab771057c"
+        "92e566e8c9840632a0b6ecbe487a87bf",
+        ("wiki", 1000, 8): "7d29e518c2d838688075d561106de3d9"
+        "9751f540e7e759617c9cd5c186ae3588",
+        ("wiki", 1000, None): "bf32a5a80d8841af9d6c3f6d0ac78af7"
+        "74021cc72b527ddeca379ac46397aee5",
+        ("wiki", 100, 8): "a2b3c78a3688ab282d083921747cf1b3"
+        "3e262ae3313699ef4c3962c2657e2764",
+        ("wiki", 100, None): "dfd831b0ad4536ae50a1727f2ec0cb40"
+        "3e1ef467b24587b79fce838141d368dd",
+    }
+
+    @pytest.mark.parametrize(
+        "key",
+        sorted(GOLDEN_LABELS, key=str),
+        ids=lambda key: "{}-coarsen_to={}-k={}".format(*key),
+    )
+    def test_golden_labels(self, paper_density_graphs, key):
+        name, coarsen_to, k = key
+        c = MLRMCL(coarsen_to=coarsen_to).cluster(
+            paper_density_graphs[name], k
+        )
+        assert _labels_sha256(c.labels) == self.GOLDEN_LABELS[key]
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_blocked_expansion_matches_single_block(
+        self, paper_density_graphs, monkeypatch, name
+    ):
+        graph = paper_density_graphs[name]
+        m_g = mlrmcl._canonical_flow(graph.adjacency, 1.0)
+        blocks_per_iteration = []
+        spans = mlrmcl.product_row_spans
+
+        def counting_spans(*args):
+            out = spans(*args)
+            blocks_per_iteration.append(len(out))
+            return out
+
+        def run():
+            blocks_per_iteration.clear()
+            with metrics_active() as reg:
+                flow = mlrmcl._rmcl_iterations(
+                    m_g.copy(), m_g, 2.0, 30, 0.01
+                )
+            with metrics_active() as cluster_reg:
+                labels = MLRMCL().cluster(graph).labels
+            return flow, labels, reg, cluster_reg
+
+        monkeypatch.setattr(mlrmcl, "product_row_spans", counting_spans)
+        flow_1, labels_1, reg_1, cluster_1 = run()
+        assert set(blocks_per_iteration) == {1}
+        monkeypatch.setattr(mlrmcl, "_MAX_EXPAND_ENTRIES", 2000)
+        flow_n, labels_n, reg_n, cluster_n = run()
+        assert min(blocks_per_iteration) >= 3
+
+        assert flow_n.data.tobytes() == flow_1.data.tobytes()
+        assert np.array_equal(flow_n.indices, flow_1.indices)
+        assert np.array_equal(flow_n.indptr, flow_1.indptr)
+        assert np.array_equal(labels_n, labels_1)
+        assert sum(blocks_per_iteration) == (
+            reg_n.counters["mcl_expand_blocks"]
+            + cluster_n.counters["mcl_expand_blocks"]
+        )
+        for single, blocked in ((reg_1, reg_n), (cluster_1, cluster_n)):
+            assert single.counters.pop("mcl_expand_blocks") == (
+                single.counters["mcl_iterations"]
+            )
+            assert blocked.counters.pop("mcl_expand_blocks") >= (
+                3 * blocked.counters["mcl_iterations"]
+            )
+            largest_single = single.gauges.pop(
+                "mcl_expand_block_entries_max"
+            )
+            largest_blocked = blocked.gauges.pop(
+                "mcl_expand_block_entries_max"
+            )
+            assert 0 < largest_blocked < largest_single / 3
+            assert blocked.counters == single.counters
+            assert blocked.gauges == single.gauges
 
     def test_repr(self):
         assert "2.0" in repr(MLRMCL(inflation=2.0))

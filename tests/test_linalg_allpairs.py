@@ -260,14 +260,12 @@ class TestCandidateBudget:
         assert capped.data.tobytes() == reference.data.tobytes()
 
     def test_row_spans_respect_budget_and_progress(self, rng):
-        from repro.linalg.allpairs import (
-            _row_spans,
-            _suffix_column_counts,
-        )
+        from repro.linalg.allpairs import _suffix_column_counts
+        from repro.linalg.sparse_utils import product_row_spans
 
         rows = self._hub_matrix(rng)
         colcount = _suffix_column_counts(rows)
-        spans = _row_spans(rows, colcount, cap=500)
+        spans = product_row_spans(rows, colcount, cap=500)
         # Spans partition [0, n_rows) in order.
         assert spans[0][0] == 0
         assert spans[-1][1] == rows.shape[0]
