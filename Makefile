@@ -6,7 +6,7 @@
 #   make format-check  ruff format --check (advisory in CI)
 #   make fault-smoke   fault-injection marker subset
 #   make chaos-smoke   chaos-harness recovery subset (retries, budgets)
-#   make bench-smoke   Table 1/2 subset + all-pairs/MLR-MCL kernel tests
+#   make bench-smoke   Table 1/2 subset + all-pairs/MLR-MCL/apply tests
 #   make scale-smoke   out-of-core 50k-node smoke under wall/mem budget
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
@@ -45,7 +45,8 @@ bench-smoke:
 		benchmarks/test_table2_edges.py
 	$(PYTHON) -m pytest -q tests/test_linalg_allpairs.py \
 		tests/test_perf.py::TestBenchSmoke \
-		tests/test_cluster_algorithms.py::TestMLRMCL
+		tests/test_cluster_algorithms.py::TestMLRMCL \
+		tests/test_symmetrize_apply.py
 
 scale-smoke:
 	REPRO_SCALE_SMOKE=1 $(PYTHON) -m pytest -m scale_smoke -q

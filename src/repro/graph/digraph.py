@@ -30,15 +30,15 @@ __all__ = ["DirectedGraph"]
 
 def _as_csr(matrix: object) -> sp.csr_array:
     """Convert any scipy-sparse / dense 2-D input to a canonical csr_array."""
-    if isinstance(matrix, sp.csr_array):
-        csr = matrix.copy()
-    elif sp.issparse(matrix):
+    if sp.issparse(matrix):
         csr = sp.csr_array(matrix)
     else:
         arr = np.asarray(matrix)
         if arr.ndim != 2:
             raise GraphError(f"adjacency must be 2-D, got shape {arr.shape}")
         csr = sp.csr_array(arr)
+    # astype copies, so the in-place steps below never touch the
+    # caller's arrays (a csr_array input shares them until here).
     csr = csr.astype(np.float64)
     csr.sum_duplicates()
     csr.eliminate_zeros()
@@ -341,10 +341,12 @@ class DirectedGraph:
 
     def without_self_loops(self) -> "DirectedGraph":
         """Return a copy with the diagonal removed."""
-        adj = self._adj.tolil(copy=True)
-        adj.setdiag(0.0)
+        from repro.linalg.sparse_utils import filter_entries
+
         return DirectedGraph(
-            adj.tocsr(), node_names=self._names, validate=False
+            filter_entries(self._adj, drop_diagonal=True),
+            node_names=self._names,
+            validate=False,
         )
 
     def subgraph(self, nodes: Sequence[int]) -> "DirectedGraph":

@@ -54,6 +54,7 @@ class UndirectedGraph:
         node_names: Sequence[object] | None = None,
         validate: bool | str = True,
     ) -> None:
+        from repro.linalg.sparse_utils import symmetric_average
         from repro.validate.invariants import (
             coerce_level,
             validate_undirected_graph,
@@ -66,7 +67,7 @@ class UndirectedGraph:
             report.raise_errors()
             report.emit_warnings(stacklevel=3)
             # Remove any numerical asymmetry so downstream algebra is exact.
-            csr = ((csr + csr.T) * 0.5).tocsr()
+            csr = symmetric_average(csr)
             csr.sort_indices()
         self._adj = csr
         if node_names is not None:
@@ -205,10 +206,12 @@ class UndirectedGraph:
     # ------------------------------------------------------------------
     def without_self_loops(self) -> "UndirectedGraph":
         """A copy with the diagonal removed."""
-        adj = self._adj.tolil(copy=True)
-        adj.setdiag(0.0)
+        from repro.linalg.sparse_utils import filter_entries
+
         return UndirectedGraph(
-            adj.tocsr(), node_names=self._names, validate=False
+            filter_entries(self._adj, drop_diagonal=True),
+            node_names=self._names,
+            validate=False,
         )
 
     def subgraph(self, nodes: Sequence[int]) -> "UndirectedGraph":

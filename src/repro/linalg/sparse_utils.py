@@ -1,8 +1,9 @@
 """CSR matrix utilities: normalization, scaling, pruning, top-k.
 
 These operations are the building blocks of the symmetrizations:
-degree scaling implements the ``D^-alpha`` factors of Eq. 6–8, pruning
-implements §3.5, and top-k extraction regenerates Table 5 (the
+degree scaling implements the ``D^-alpha`` factors of Eq. 6–8, the
+one-pass entry mask (:func:`filter_entries`) implements §3.5 pruning
+and self-loop removal, and top-k extraction regenerates Table 5 (the
 top-weighted edges of each symmetrized Wikipedia graph).
 :func:`product_row_spans` bounds the memory of a sparse product
 computed a row span at a time (all-pairs candidates, R-MCL expansion).
@@ -20,7 +21,9 @@ __all__ = [
     "row_normalize",
     "degree_scale",
     "degree_power",
+    "filter_entries",
     "prune_matrix",
+    "symmetric_average",
     "top_k_entries",
     "sample_rows_similarity",
     "product_row_spans",
@@ -84,6 +87,69 @@ def degree_scale(
     return csr.tocsr()
 
 
+def filter_entries(
+    matrix: sp.csr_array,
+    threshold: float = 0.0,
+    drop_diagonal: bool = False,
+    keep_diagonal: bool = False,
+) -> sp.csr_array:
+    """The entries of ``matrix`` that pass one boolean mask, as new CSR.
+
+    An entry is kept when it is non-zero, when it is at or above
+    ``threshold`` (ties within :data:`TIE_RTOL` count as above; a
+    threshold of 0 or less cuts nothing), and, with ``drop_diagonal``,
+    when it lies off the diagonal. With ``keep_diagonal`` diagonal
+    entries are exempt from the threshold.
+
+    The mask is taken over the canonical form (sorted indices,
+    duplicates summed); a non-canonical ``matrix`` is canonicalized on
+    a copy, so ``matrix`` itself is never modified. The index arrays
+    keep ``matrix``'s dtype, except that dropping the diagonal narrows
+    them to int32 whenever that fits: the diagonal-free output of
+    :meth:`~repro.symmetrize.Symmetrization.apply` is int32-indexed.
+    """
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    n_rows = csr.shape[0]
+    row_nnz = np.diff(csr.indptr)
+    keep = csr.data != 0
+    if drop_diagonal or keep_diagonal:
+        row_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
+        rows = np.repeat(np.arange(n_rows, dtype=row_dtype), row_nnz)
+        on_diagonal = csr.indices == rows
+        del rows
+    if threshold > 0:
+        above = csr.data >= threshold * (1.0 - TIE_RTOL)
+        if keep_diagonal:
+            above |= on_diagonal
+        keep &= above
+        del above
+    if drop_diagonal:
+        keep &= ~on_diagonal
+    # Kept entries per row, summed over the non-empty rows' segments
+    # (reduceat cannot express an empty segment).
+    kept_per_row = np.zeros(n_rows, dtype=np.int64)
+    nonempty = np.flatnonzero(row_nnz)
+    if nonempty.size:
+        kept_per_row[nonempty] = np.add.reduceat(
+            keep, csr.indptr[nonempty], dtype=np.int64
+        )
+    nnz = int(kept_per_row.sum())
+    index_dtype = csr.indices.dtype
+    if drop_diagonal and max(csr.shape[1], nnz) <= np.iinfo(np.int32).max:
+        index_dtype = np.dtype(np.int32)
+    indptr = np.zeros(n_rows + 1, dtype=index_dtype)
+    np.cumsum(kept_per_row, out=indptr[1:])
+    indices = np.compress(
+        keep, csr.indices, out=np.empty(nnz, dtype=index_dtype)
+    )
+    return sp.csr_array(
+        (csr.data[keep], indices, indptr), shape=csr.shape
+    )
+
+
 def prune_matrix(
     matrix: sp.csr_array,
     threshold: float,
@@ -100,22 +166,24 @@ def prune_matrix(
     A threshold of 0 only removes explicit zeros. With
     ``keep_diagonal=True`` diagonal entries survive regardless of value
     (useful when self-similarities carry bookkeeping information).
+    The result is a new canonical CSR matrix (:func:`filter_entries`).
     """
     if threshold < 0:
         raise SymmetrizationError("prune threshold must be >= 0")
-    csr = matrix.tocsr().copy()
-    if threshold == 0:
-        csr.eliminate_zeros()
-        return csr
-    coo = csr.tocoo()
-    keep = coo.data >= threshold * (1.0 - TIE_RTOL)
-    if keep_diagonal:
-        keep |= coo.row == coo.col
-    pruned = sp.coo_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape
-    ).tocsr()
-    pruned.eliminate_zeros()
-    return pruned
+    return filter_entries(matrix, threshold, keep_diagonal=keep_diagonal)
+
+
+def symmetric_average(matrix: sp.csr_array) -> sp.csr_array:
+    """``(M + Mᵀ) / 2``, the sum scaled in place rather than copied.
+
+    Symmetrizations average their output with its transpose to clean
+    the tiny asymmetries floating-point products leave. Halving the
+    sum's data in place gives the same bits as ``(M + M.T) * 0.5``
+    without a third full-size array.
+    """
+    total = (matrix + matrix.T).tocsr()
+    total.data *= 0.5
+    return total
 
 
 def top_k_entries(
@@ -170,12 +238,9 @@ def sample_rows_similarity(
         return np.array([], dtype=np.float64)
     n_samples = min(max(1, n_samples), n)
     sample = rng.choice(n, size=n_samples, replace=False)
-    chunks = [
-        csr.data[csr.indptr[i]: csr.indptr[i + 1]] for i in sample
-    ]
-    if not chunks:
-        return np.array([], dtype=np.float64)
-    return np.concatenate(chunks) if chunks else np.array([])
+    return np.concatenate(
+        [csr.data[csr.indptr[i]: csr.indptr[i + 1]] for i in sample]
+    )
 
 
 def product_row_spans(

@@ -16,7 +16,11 @@ import scipy.sparse as sp
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import prune_matrix
+from repro.linalg.sparse_utils import (
+    TIE_RTOL,
+    filter_entries,
+    symmetric_average,
+)
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
 from repro.validate.invariants import (
@@ -37,10 +41,11 @@ __all__ = [
 _REGISTRY: dict[str, type["Symmetrization"]] = {}
 
 
-def _upper_pairs(matrix: sp.csr_array) -> int:
-    """Stored entries strictly above the diagonal of a CSR matrix."""
+def _pairs_below(matrix: sp.csr_array, threshold: float) -> int:
+    """Entries strictly above the diagonal that ``threshold`` prunes."""
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return int(np.count_nonzero(matrix.indices > rows))
+    below = matrix.data < threshold * (1.0 - TIE_RTOL)
+    return int(np.count_nonzero(below & (matrix.indices > rows)))
 
 
 def register_symmetrization(name: str):
@@ -154,24 +159,24 @@ class Symmetrization(abc.ABC):
                 matrix = self._validated_output(
                     self.compute_matrix(graph).tocsr(), graph
                 )
+                # The matrix is ours: canonicalize it in place, so the
+                # mask pass below needs no canonical copy.
+                matrix.sum_duplicates()
             nnz_raw = matrix.nnz
             if threshold > 0:
-                pairs_raw = _upper_pairs(matrix)
-                with span("prune"):
-                    matrix = prune_matrix(matrix, threshold)
                 # Unordered off-diagonal pairs, the unit apply_pruned
-                # counts in; the diagonal is dropped below anyway.
+                # counts in; the diagonal is dropped or kept whole.
                 metric_inc(
-                    "edges_pruned_total",
-                    pairs_raw - _upper_pairs(matrix),
+                    "edges_pruned_total", _pairs_below(matrix, threshold)
                 )
-            if drop_self_loops:
-                lil = matrix.tolil()
-                lil.setdiag(0.0)
-                matrix = lil.tocsr()
-                matrix.eliminate_zeros()
-            # Clean tiny asymmetries from floating-point products.
-            matrix = ((matrix + matrix.T) * 0.5).tocsr()
+            with span("prune"):
+                # One mask pass prunes (§3.5) and drops self-loops;
+                # rebinding frees the raw matrix before the sum.
+                matrix = filter_entries(
+                    matrix, threshold, drop_diagonal=drop_self_loops
+                )
+                # Clean tiny asymmetries from floating-point products.
+                matrix = symmetric_average(matrix)
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,

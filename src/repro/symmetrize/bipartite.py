@@ -24,7 +24,11 @@ import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import degree_power, prune_matrix
+from repro.linalg.sparse_utils import (
+    degree_power,
+    filter_entries,
+    symmetric_average,
+)
 
 __all__ = ["BipartiteDegreeDiscounted", "bipartite_symmetrize"]
 
@@ -86,15 +90,13 @@ class BipartiteDegreeDiscounted:
         scaled = (Dl @ B @ Dr).tocsr()
         left_scaled = (Dl @ B).tocsr()
         similarity = (scaled @ left_scaled.T).tocsr()
-        if threshold > 0:
-            similarity = prune_matrix(similarity, threshold)
-        if drop_self_loops:
-            lil = similarity.tolil()
-            lil.setdiag(0.0)
-            similarity = lil.tocsr()
-            similarity.eliminate_zeros()
-        similarity = ((similarity + similarity.T) * 0.5).tocsr()
-        return UndirectedGraph(similarity, validate=False)
+        similarity.sum_duplicates()
+        similarity = filter_entries(
+            similarity, threshold, drop_diagonal=drop_self_loops
+        )
+        return UndirectedGraph(
+            symmetric_average(similarity), validate=False
+        )
 
     def left_similarity(
         self,

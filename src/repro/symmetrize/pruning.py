@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import prune_matrix
+from repro.linalg.sparse_utils import prune_matrix, sample_rows_similarity
 
 __all__ = ["prune_graph", "choose_threshold_for_degree", "singleton_fraction"]
 
@@ -59,10 +59,7 @@ def choose_threshold_for_degree(
     if n == 0 or csr.nnz == 0:
         return 0.0
     n_samples = min(max(1, n_samples), n)
-    sample = rng.choice(n, size=n_samples, replace=False)
-    values = np.concatenate(
-        [csr.data[csr.indptr[i]: csr.indptr[i + 1]] for i in sample]
-    )
+    values = sample_rows_similarity(csr, n_samples, rng)
     if values.size == 0:
         return 0.0
     avg_degree = values.size / n_samples

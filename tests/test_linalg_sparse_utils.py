@@ -93,6 +93,18 @@ class TestPruneMatrix:
         with pytest.raises(SymmetrizationError):
             prune_matrix(_mat([[1.0]]), -1.0)
 
+    def test_non_canonical_input_summed_on_a_copy(self):
+        # Row 0 holds (0, 1) twice, unsorted: 0.6 + 0.6 passes 1.0 only
+        # once the duplicates are summed, and the caller's arrays stay.
+        indices = np.array([1, 0, 1])
+        data = np.array([0.6, 0.5, 0.6])
+        m = sp.csr_array((data, indices, np.array([0, 3, 3])), shape=(2, 2))
+        pruned = prune_matrix(m, 1.0)
+        assert pruned.has_canonical_format
+        assert pruned.todense().tolist() == [[0.0, 1.2], [0.0, 0.0]]
+        assert m.indices.tolist() == [1, 0, 1]
+        assert m.data.tolist() == [0.6, 0.5, 0.6]
+
     def test_monotone_in_threshold(self, rng):
         m = sp.random_array((50, 50), density=0.2, rng=rng, format="csr")
         prev = m.nnz
